@@ -11,14 +11,17 @@ the error exponent is governed by the divergence coefficient D rather than
 the sphere-packing bound.
 
 All randomness is drawn from per-trial Philox substreams (seed, trial):
-trial t consumes 2 uniforms up front (message, initial state) and exactly n
-uniforms per epoch, so results are independent of batching and worker count.
+trial t reads stream offsets 0-1 (message, initial state) and offsets
+[2 + e n, 2 + (e+1) n) in epoch e.  simulate reads those windows by counter
+for all active trials at once and keeps trials as rows of arrays; each
+epoch's data phase is decoded in one product over the active trials, so a
+report never depends on how work is scheduled.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -112,6 +115,9 @@ class Scheme:
         llr[(p0 == 0.0) & (p1 > 0.0)] = -math.inf
         self._llr_tab = llr
         self._forbid = p1 == 0.0                    # deny-impossible transitions
+        # the same tables as nested lists, for one trial at a time (_phase2_one)
+        self._lists = tuple(a.tolist() for a in (self._pair_cdf, self._last_pos, llr,
+                                                 self._forbid, f0, f1))
         self.infinite_d = exp_result.D.is_inf
         self._codebook = None
         self._indicator = None
@@ -252,7 +258,7 @@ def _chunked_decode(scheme, u_flat):
 
 
 def _phase2_batch(scheme, bits, s0, u):
-    """Verification phase: returns (decided, end_state, llr, forbidden_seen)."""
+    """Verification phase: returns (decided, end_state, llr)."""
     cfg = scheme.config
     n_tilde = cfg.n_tilde
     s = s0.astype(np.int64)
@@ -270,12 +276,37 @@ def _phase2_batch(scheme, bits, s0, u):
         decided = np.where(fired, 0, 1)
     else:
         decided = np.where(llr / n_tilde >= scheme.confirm_threshold, 0, 1)
-    return decided, s, llr, fired
+    return decided, s, llr
+
+
+def _phase2_one(scheme, bit, s, u):
+    """_phase2_batch for one trial in Python scalars, with the same draws and
+    the same left-to-right LLR sum; returns (decided, llr, end_state)."""
+    cdf, last, tab, forbid, f0, f1 = scheme._lists
+    f, n_out, stop = (f1 if bit else f0), scheme._Y, len(u) - 1
+    llr, fired = 0.0, False
+    for t, ut in enumerate(u):
+        x = f[s]
+        v, y = divmod(min(bisect_right(cdf[s][x], ut), last[s][x]), n_out)
+        if t < stop:                                 # the last next-state is unobserved
+            llr += tab[s][v][y]
+            fired = fired or forbid[s][v][y]
+        s = v
+    if scheme.infinite_d:
+        return (0 if fired else 1), llr, s
+    return (0 if llr / len(u) >= scheme.confirm_threshold else 1), llr, s
 
 
 def _draw_initial(scheme, u):
     cnt = (scheme._init_cdf[None, :] <= u[:, None]).sum(axis=1)
     return np.minimum(cnt, scheme._init_last)
+
+
+def _start(scheme, gen, start_state) -> int:
+    """start_state if given, else drawn with one uniform from gen."""
+    if start_state is None:
+        return int(_draw_initial(scheme, gen.random(1))[0])
+    return int(start_state)
 
 
 # ---------------------------------------------------------------------------
@@ -289,27 +320,19 @@ def run_phase1(scheme, w: int, gen, start_state: int | None = None):
     """
     if not 0 <= w < scheme.config.message_count:
         raise ChannelError("message index out of range")
-    if start_state is None:
-        s0 = _draw_initial(scheme, gen.random(1))
-    else:
-        s0 = np.array([int(start_state)])
+    s0 = _start(scheme, gen, start_state)
     u = gen.random((1, scheme.config.n_hat))
-    decoded, s_end, ss = _phase1_batch(scheme, np.array([w]), s0, u)
+    decoded, s_end, ss = _phase1_batch(scheme, np.array([w]), np.array([s0]), u)
     states = [int(v) for v in ss[0]] + [int(s_end[0])]
     return int(decoded[0]), states
 
 
 def run_phase2(scheme, bit: int, gen, start_state: int | None = None):
-    """One verification phase; returns (decided bit, llr, visited states)."""
+    """One verification phase; returns (decided bit, llr, end state)."""
     if bit not in (0, 1):
         raise ChannelError("bit must be 0 or 1")
-    if start_state is None:
-        s0 = _draw_initial(scheme, gen.random(1))
-    else:
-        s0 = np.array([int(start_state)])
-    u = gen.random((1, scheme.config.n_tilde))
-    decided, s_end, llr, _ = _phase2_batch(scheme, np.array([bit]), s0, u)
-    return int(decided[0]), float(llr[0]), int(s_end[0])
+    s0 = _start(scheme, gen, start_state)
+    return _phase2_one(scheme, bit, s0, gen.random(scheme.config.n_tilde).tolist())
 
 
 def run_trial(scheme, w: int, gen, start_state: int | None = None):
@@ -319,22 +342,19 @@ def run_trial(scheme, w: int, gen, start_state: int | None = None):
     The channel state carries over between phases and epochs.
     """
     cfg = scheme.config
-    if start_state is None:
-        s = _draw_initial(scheme, gen.random(1))
-    else:
-        s = np.array([int(start_state)])
+    s = _start(scheme, gen, start_state)
     traces = []
     w_arr = np.array([w])
     for epoch in range(cfg.max_epochs):
         u = gen.random((1, cfg.n))
-        decoded, s, _ = _phase1_batch(scheme, w_arr, s, u[:, :cfg.n_hat])
-        sent = int(decoded[0] != w)
-        decided, s, llr, _ = _phase2_batch(scheme, np.array([sent]), s, u[:, cfg.n_hat:])
-        traces.append(EpochTrace(epoch, int(decoded[0]), sent == 0, sent,
-                                 int(decided[0]), float(llr[0])))
-        if int(decided[0]) == 0:
-            return traces, int(decoded[0]), False
-    return traces, int(decoded[0]), True
+        decoded, s_mid, _ = _phase1_batch(scheme, w_arr, np.array([s]), u[:, :cfg.n_hat])
+        decoded = int(decoded[0])
+        sent = int(decoded != w)
+        decided, llr, s = _phase2_one(scheme, sent, int(s_mid[0]), u[0, cfg.n_hat:].tolist())
+        traces.append(EpochTrace(epoch, decoded, sent == 0, sent, decided, llr))
+        if decided == 0:
+            return traces, decoded, False
+    return traces, decoded, True
 
 
 # ---------------------------------------------------------------------------
@@ -369,121 +389,74 @@ class SimReport:
     bound_checks: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean_epochs": self.mean_epochs,
-            "mean_T": self.mean_T,
-            "empirical_rate": self.empirical_rate,
-            "error_count": self.error_count,
-            "p_e_hat": self.p_e_hat,
-            "p_e_ci": list(self.p_e_ci),
-            "phase1_error_rate": self.phase1_error_rate,
-            "phase2_type0_rate": self.phase2_type0_rate,
-            "phase2_type1_rate": self.phase2_type1_rate,
-            "mean_llr_per_symbol_h0": self.mean_llr_per_symbol_h0,
-            "mean_llr_per_symbol_h1": self.mean_llr_per_symbol_h1,
-            "aborted_trials": self.aborted_trials,
-            "bound_checks": self.bound_checks,
-        }
-
-
-def _simulate_block(scheme, trial_ids):
-    """Run one contiguous block of trials; return per-trial arrays and traces.
-
-    Each trial i consumes only stream(seed, i), so any partition of the trial
-    range into blocks produces identical per-trial outcomes.
-    """
-    cfg = scheme.config
-    b = len(trial_ids)
-    w_total = cfg.message_count
-    gens = [_rng.stream(cfg.seed, int(k)) for k in trial_ids]
-    first = np.stack([g.random(2) for g in gens])
-    w = np.minimum((first[:, 0] * w_total).astype(np.int64), w_total - 1)
-    s = _draw_initial(scheme, first[:, 1])
-    active = np.ones(b, dtype=bool)
-    epochs_used = np.zeros(b, dtype=np.int64)
-    final_decoded = np.full(b, -1, dtype=np.int64)
-    traces = []
-    for epoch in range(cfg.max_epochs):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        u = np.stack([gens[i].random(cfg.n) for i in idx])
-        decoded, s_mid, _ = _phase1_batch(scheme, w[idx], s[idx], u[:, :cfg.n_hat])
-        sent = (decoded != w[idx]).astype(np.int64)
-        decided, s_end, llr, _ = _phase2_batch(scheme, sent, s_mid, u[:, cfg.n_hat:])
-        for j, i in enumerate(idx):
-            traces.append((int(trial_ids[i]),
-                           EpochTrace(epoch, int(decoded[j]), bool(sent[j] == 0),
-                                      int(sent[j]), int(decided[j]), float(llr[j]))))
-        committed = decided == 0
-        commit_ids = idx[committed]
-        final_decoded[commit_ids] = decoded[committed]
-        epochs_used[commit_ids] = epoch + 1
-        active[commit_ids] = False
-        s[idx] = s_end
-    aborted = active.copy()
-    epochs_used[aborted] = cfg.max_epochs
-    return w, final_decoded, epochs_used, aborted, traces
+        return dict(asdict(self), p_e_ci=list(self.p_e_ci))    # fields in declared order
 
 
 def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
     """Run config.trials independent transmissions of uniform random messages.
 
     trace_sink, if given, receives (trial_index, EpochTrace) for every epoch,
-    ordered by (trial, epoch).  Results are identical for every jobs value:
-    trials use per-trial random substreams and are reduced in canonical order.
+    ordered by (trial, epoch).  jobs is accepted and ignored: all trials run
+    as rows of one array, and each epoch's data phase is decoded in one
+    product over the trials still active, so results never depend on it.
     """
     cfg = scheme.config
-    b = cfg.trials
-    jobs = max(1, int(jobs))
-    bounds = [(b * j) // jobs for j in range(jobs + 1)]
-    blocks = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if len(blocks) <= 1:
-        parts = [_simulate_block(scheme, ids) for ids in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(pool.map(lambda ids: _simulate_block(scheme, ids), blocks))
-    w = np.concatenate([p[0] for p in parts])
-    final_decoded = np.concatenate([p[1] for p in parts])
-    epochs_used = np.concatenate([p[2] for p in parts])
-    aborted = np.concatenate([p[3] for p in parts])
-    traces = sorted((t for p in parts for t in p[4]),
-                    key=lambda item: (item[0], item[1].epoch))
+    b, n, n_hat, w_total = cfg.trials, cfg.n, cfg.n_hat, cfg.message_count
+    idx = np.arange(b)
+    u = _rng.uniforms(cfg.seed, idx, 0, 2 + n)      # message, initial state, epoch 0
+    w = np.minimum((u[:, 0] * w_total).astype(np.int64), w_total - 1)
+    s = _draw_initial(scheme, u[:, 1])
+    u = u[:, 2:]
+    epochs_used = np.full(b, cfg.max_epochs)
+    cols = []                                        # per epoch: trial, epoch, outcomes
+    for epoch in range(cfg.max_epochs):
+        if epoch:
+            u = _rng.uniforms(cfg.seed, idx, 2 + epoch * n, n)
+        decoded, s_mid, _ = _phase1_batch(scheme, w[idx], s, u[:, :n_hat])
+        sent = (decoded != w[idx]).astype(np.int64)
+        decided, s_end, llr = _phase2_batch(scheme, sent, s_mid, u[:, n_hat:])
+        cols.append((idx, np.full(idx.size, epoch), decoded, sent, decided, llr))
+        going = decided != 0
+        epochs_used[idx[~going]] = epoch + 1
+        idx, s = idx[going], s_end[going]
+        if idx.size == 0:
+            break
+    trial, epoch, decoded, sent, decided, llr = map(np.concatenate, zip(*cols))
+    order = np.argsort(trial, kind="stable")         # epoch-major -> (trial, epoch)
     if trace_sink is not None:
-        for trial, trace in traces:
-            trace_sink(trial, trace)
-    ph1_decodes = len(traces)
-    ph1_errors = sum(t.sent_bit for _, t in traces)
+        rows = (a[order].tolist() for a in (trial, epoch, decoded, sent, decided, llr))
+        for t, e, d, x, y, v in zip(*rows):
+            trace_sink(t, EpochTrace(e, d, x == 0, x, y, v))
+    ph1_decodes = trial.size
+    ph1_errors = int(sent.sum())
     ack_sends = ph1_decodes - ph1_errors
-    ack_denied = sum(1 for _, t in traces if t.sent_bit == 0 and t.decided_bit == 1)
-    deny_sends = ph1_errors
-    deny_acked = sum(1 for _, t in traces if t.sent_bit == 1 and t.decided_bit == 0)
-    denom = cfg.n_tilde - 1
-    llr_h0 = [t.llr / denom for _, t in traces if t.sent_bit == 0]
-    llr_h1 = [t.llr / denom for _, t in traces if t.sent_bit == 1]
-    errors = int(((final_decoded != w) | aborted).sum())
+    ack_denied = int(((sent == 0) & (decided == 1)).sum())
+    deny_acked = int(((sent == 1) & (decided == 0)).sum())
+    # per-symbol LLRs in (trial, epoch) order, so the float sums keep that order
+    per_symbol = llr[order] / (cfg.n_tilde - 1)
+    llr_h0 = per_symbol[sent[order] == 0]
+    llr_h1 = per_symbol[sent[order] == 1]
+    aborted = idx.size
+    errors = deny_acked + aborted                    # a wrong message confirmed, or none
     mean_epochs = float(epochs_used.mean())
-    mean_t = cfg.n * mean_epochs
-    ln_w = math.log(cfg.message_count)
-    report = SimReport(
+    mean_t = n * mean_epochs
+    return SimReport(
         trials=b,
         mean_epochs=mean_epochs,
         mean_T=mean_t,
-        empirical_rate=ln_w / mean_t,
+        empirical_rate=math.log(w_total) / mean_t,
         error_count=errors,
         p_e_hat=errors / b,
         p_e_ci=_wilson_ci(errors, b),
         phase1_error_rate=(ph1_errors / ph1_decodes) if ph1_decodes else None,
         phase2_type0_rate=(ack_denied / ack_sends) if ack_sends else None,
-        phase2_type1_rate=(deny_acked / deny_sends) if deny_sends else None,
-        mean_llr_per_symbol_h0=float(np.mean(llr_h0)) if llr_h0 else None,
-        mean_llr_per_symbol_h1=float(np.mean(llr_h1)) if llr_h1 else None,
-        aborted_trials=int(aborted.sum()),
+        phase2_type1_rate=(deny_acked / ph1_errors) if ph1_errors else None,
+        mean_llr_per_symbol_h0=float(np.mean(llr_h0)) if llr_h0.size else None,
+        mean_llr_per_symbol_h1=float(np.mean(llr_h1)) if llr_h1.size else None,
+        aborted_trials=aborted,
         bound_checks=_bound_checks(b, errors, epochs_used, ph1_decodes, ph1_errors,
-                                   ack_sends, ack_denied, deny_sends, deny_acked),
+                                   ack_sends, ack_denied, ph1_errors, deny_acked),
     )
-    return report
 
 
 def _bound_checks(trials, errors, epochs_used, ph1_decodes, ph1_errors,

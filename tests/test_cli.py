@@ -145,6 +145,17 @@ def test_simulate_jobs_invariant(bsc_file):
     assert a.stdout == b.stdout
 
 
+def test_simulate_jobs_invariant_with_likelihood_ties(bsc_file):
+    """On the BSC many codewords tie in likelihood; splitting the trials into
+    batches once moved their BLAS rounding and changed this report."""
+    args = ("--rate", "0.18", "--gamma", "0.6", "--n", "20", "--trials", "20000",
+            "--seed", "0")
+    a = run_cli("simulate", bsc_file, *args, "--jobs", "1", check=True)
+    b = run_cli("simulate", bsc_file, *args, "--jobs", "8", check=True)
+    assert a.stdout == b.stdout
+    assert json.loads(a.stdout)["mean_epochs"] == 1.16705
+
+
 def test_simulate_gamma_below_ratio_fails(bsc_file):
     proc = run_cli("simulate", bsc_file, "--rate", "0.18", "--gamma", "0.4",
                    "--n", "20")

@@ -209,6 +209,44 @@ def test_phase2_llr_lattice_on_bsc():
             assert decided == (0 if llr / nt >= scheme.confirm_threshold else 1)
 
 
+def _sparse_channel(seed):
+    """Random 3-state channel with zero (next state, output) cells; the zeros
+    depend on the state only, so D stays finite."""
+    gen = np.random.default_rng(seed)
+    k = gen.random((3, 2, 3, 2)) + 0.05
+    k *= (gen.random((3, 1, 3, 2)) < 0.6)
+    k[:, :, (np.arange(3) + 1) % 3, 0] += 0.2        # keep every row and the cycle alive
+    k /= k.sum(axis=(2, 3), keepdims=True)
+    return fsmc.channel_from_arrays(("a", "b", "c"), ("0", "1"), ("0", "1"), k,
+                                    [1 / 3, 1 / 3, 1 / 3])
+
+
+def test_phase2_one_trial_path_matches_batch_path():
+    """run_phase2 and run_trial use a scalar copy of _phase2_batch; it must
+    give the same end state, the same LLR bits and the same decision, also
+    for uniforms at the ends of [0, 1) and for thresholds that short phases
+    straddle."""
+    channels = [make_random_channel(1), make_random_channel(2, n_states=3, n_outputs=3),
+                _sparse_channel(0), _sparse_channel(1), make_z(), make_bsc(0.1)]
+    top = 1.0 - 2.0 ** -53                           # the largest uniform
+    for i, ch in enumerate(channels):
+        cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
+        for n, threshold in ((200, None), (4, -0.5), (4, 0.2), (4, 1.0)):
+            cfg = SchemeConfig(rate=0.3 * cap.C, gamma=0.5, n=n, seed=i,
+                               confirm_threshold=threshold)
+            scheme = fsmc.build_scheme(ch, cfg, cap, exp)
+            gen = frng.stream(i, n)
+            rows = [gen.random(cfg.n_tilde) for _ in range(40)]
+            rows += [np.zeros(cfg.n_tilde), np.full(cfg.n_tilde, top)]
+            for u in rows:
+                bit, s0 = int(gen.integers(2)), int(gen.integers(ch.n_states))
+                decided, s_end, llr = yi._phase2_batch(scheme, np.array([bit]),
+                                                       np.array([s0]), u[None, :])
+                want = (int(decided[0]), float(llr[0]), int(s_end[0]))
+                got = yi._phase2_one(scheme, bit, s0, u.tolist())
+                assert repr(got) == repr(want), (i, n, threshold)
+
+
 def test_phase2_zero_error_never_acks_denials():
     ch = make_z()
     scheme = fsmc.build_scheme(ch, SchemeConfig(rate=0.15, gamma=0.6, n=20))
