@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--renormalize", action="store_true",
                             help="repair row sums off by at most 1e-6")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker-thread cap (results are identical for any value)")
+                        help="accepted and ignored; everything runs in one thread")
 
     sp = sub.add_parser("validate", help="check a channel file and report its structure")
     add_common(sp)

@@ -84,40 +84,49 @@ def check_assumption1(ch, cap: int = ASSUMPTION1_CAP):
 
 
 def stationary_measure(q) -> np.ndarray:
-    """Stationary distribution of an irreducible transition matrix.
+    """Stationary distribution of an irreducible transition matrix, or of
+    each matrix in a stack (..., n, n).
 
     Direct sparse-free solve of mu (Q - I) = 0 with one row swapped for the
     normalization; falls back to power iteration on (Q + I)/2 if the linear
     system is numerically singular.  The residual ||mu Q - mu||_inf <= 1e-10
-    is asserted on every call.
+    is asserted for every matrix.  A stack whose batched solve fails is
+    solved one matrix at a time, so each result is what a call on that matrix
+    alone returns.
     """
     q = np.asarray(q, dtype=np.float64)
-    n = q.shape[0]
-    a = q.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    mu = None
+    n = q.shape[-1]
+    qs = q.reshape(-1, n, n)
+    a = np.swapaxes(qs, 1, 2) - np.eye(n)
+    a[:, -1, :] = 1.0
+    b = np.zeros((qs.shape[0], n, 1))
+    b[:, -1] = 1.0
     try:
-        cand = np.linalg.solve(a, b)
-        if np.all(np.isfinite(cand)) and cand.min() > -1e-9:
-            mu = np.clip(cand, 0.0, None)
-            mu /= mu.sum()
+        cand = np.linalg.solve(a, b)[:, :, 0]
     except np.linalg.LinAlgError:
-        mu = None
-    if mu is None or float(np.max(np.abs(mu @ q - mu))) > RESIDUAL_TOL:
+        if qs.shape[0] > 1:
+            return np.stack([stationary_measure(m) for m in qs]).reshape(q.shape[:-1])
+        cand = np.full((1, n), np.nan)
+    good = np.isfinite(cand).all(axis=1)
+    good[good] = cand[good].min(axis=1) > -1e-9
+    mu = np.clip(np.where(good[:, None], cand, 1.0), 0.0, None)
+    mu /= mu.sum(axis=1, keepdims=True)
+    for i in np.nonzero(~good | (_residuals(mu, qs) > RESIDUAL_TOL))[0]:
         # lazy chain has the same stationary law and no periodicity
-        half = 0.5 * (q + np.eye(n))
-        mu = np.full(n, 1.0 / n)
+        half = 0.5 * (qs[i] + np.eye(n))
+        m = np.full(n, 1.0 / n)
         for _ in range(10**5):
-            nxt = mu @ half
-            if float(np.max(np.abs(nxt - mu))) < 1e-13:
-                mu = nxt
+            m, prev = m @ half, m
+            if float(np.max(np.abs(m - prev))) < 1e-13:
                 break
-            mu = nxt
-        mu = np.clip(mu, 0.0, None)
-        mu /= mu.sum()
-    resid = float(np.max(np.abs(mu @ q - mu)))
+        m = np.clip(m, 0.0, None)
+        mu[i] = m / m.sum()
+    resid = float(_residuals(mu, qs).max())
     if resid > RESIDUAL_TOL:
         raise ChannelError(f"stationary solve residual {resid:.3g} > {RESIDUAL_TOL}")
-    return mu
+    return mu.reshape(q.shape[:-1])
+
+
+def _residuals(mu, qs):
+    """||mu_i Q_i - mu_i||_inf for each row i."""
+    return np.abs(np.matmul(mu[:, None, :], qs)[:, 0, :] - mu).max(axis=1)

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
 from .channel import ChannelError, InputDist, StationaryPolicy, s_marginal
-from .ergodic import stationary_measure
 
 GRID_DUP_TOL = 1e-12     # max-coordinate separation between grid points
 MASS_TOL = 1e-10
@@ -277,13 +275,6 @@ def decode_policy(measure: OccupationMeasure) -> StationaryPolicy:
 # ---------------------------------------------------------------------------
 # trajectory simulation and the concentration check
 
-def _last_positive(weights) -> int:
-    """Index of the last positive cell; sampling is clipped here so that
-    trailing zero-mass cells are unreachable even under cumsum float slop."""
-    nz = np.nonzero(np.asarray(weights) > 0.0)[0]
-    return int(nz[-1]) if nz.size else 0
-
-
 def _as_policy_callable(policy, ch):
     """Accept a StationaryPolicy or a callable (states, outputs) -> InputDist."""
     if isinstance(policy, StationaryPolicy):
@@ -310,14 +301,11 @@ def simulate_trajectory(ch, policy, grid: ControlGrid, n: int, seed: int,
         raise ChannelError("horizon must be positive")
     policy = _as_policy_callable(policy, ch)
     S, Y = ch.n_states, ch.n_outputs
-    pair_cdf = [[tuple(np.cumsum(ch.kernel[s, x].ravel())) for x in range(ch.n_inputs)]
-                for s in range(S)]
-    pair_last = [[_last_positive(ch.kernel[s, x].ravel()) for x in range(ch.n_inputs)]
-                 for s in range(S)]
-    init_cdf = tuple(np.cumsum(ch.initial_dist))
-    init_last = _last_positive(ch.initial_dist)
+    pair_cdf, pair_last = (a.tolist() for a in _rng.inverse_cdf(
+        ch.kernel.reshape(S, ch.n_inputs, S * Y)))
+    init_cdf, init_last = (a.tolist() for a in _rng.inverse_cdf(ch.initial_dist))
     gen = _rng.stream(seed, substream)
-    u01 = gen.random(2 * n + 1)
+    u01 = gen.random(2 * n + 1).tolist()
     counts = np.zeros((S, len(grid)), dtype=np.int64)
     input_cdf_cache = {}
     states = [min(bisect_right(init_cdf, u01[0]), init_last)]
@@ -333,7 +321,7 @@ def simulate_trajectory(ch, policy, grid: ControlGrid, n: int, seed: int,
         counts[s, k] += 1
         cached = input_cdf_cache.get(u.key())
         if cached is None:
-            cached = (tuple(np.cumsum(u.weights)), _last_positive(u.weights))
+            cached = tuple(a.tolist() for a in _rng.inverse_cdf(u.weights))
             input_cdf_cache[u.key()] = cached
         cdf, last = cached
         x = min(bisect_right(cdf, u01[2 * t + 1]), last)
@@ -358,29 +346,20 @@ def _azuma_batch(ch, state_to_k, grid, n, eps, trials, seed) -> int:
     """Vectorized violation count for stationary-on-grid controls.
 
     Reproduces the scalar trajectory sampler exactly: per-trial substreams,
-    2n+1 uniforms per trial, CDF-count sampling clipped to the last positive
-    cell.
+    2n+1 uniforms per trial, the same inverse-CDF rule.
     """
     S, Y, K = ch.n_states, ch.n_outputs, len(grid)
-    gmat = grid.matrix()
-    in_cdf = np.cumsum(gmat, axis=1)                      # (K, X)
-    in_last = np.array([_last_positive(w) for w in gmat])
-    pair_cdf = np.cumsum(ch.kernel.reshape(S, ch.n_inputs, S * Y), axis=2)
-    pair_last = np.array([[_last_positive(ch.kernel[s, x].ravel())
-                           for x in range(ch.n_inputs)] for s in range(S)])
-    init_cdf = np.cumsum(ch.initial_dist)
-    init_last = _last_positive(ch.initial_dist)
+    in_cdf, in_last = _rng.inverse_cdf(grid.matrix())                 # (K, X), (K,)
+    pair_cdf, pair_last = _rng.inverse_cdf(ch.kernel.reshape(S, ch.n_inputs, S * Y))
     u = np.stack([_rng.stream(seed, k).random(2 * n + 1) for k in range(trials)])
-    s = np.minimum((init_cdf <= u[:, 0, None]).sum(axis=1), init_last)
+    s = _rng.draw(*_rng.inverse_cdf(ch.initial_dist), u[:, 0])
     counts = np.zeros((trials, S, K), dtype=np.int64)
     rows = np.arange(trials)
     for t in range(n):
         k = state_to_k[s]
         np.add.at(counts, (rows, s, k), 1)
-        x = np.minimum((in_cdf[k] <= u[:, 2 * t + 1, None]).sum(axis=1), in_last[k])
-        flat = np.minimum((pair_cdf[s, x] <= u[:, 2 * t + 2, None]).sum(axis=1),
-                          pair_last[s, x])
-        s = flat // Y
+        x = _rng.draw(in_cdf[k], in_last[k], u[:, 2 * t + 1])
+        s = _rng.draw(pair_cdf[s, x], pair_last[s, x], u[:, 2 * t + 2]) // Y
     w = counts / float(n)
     t_mat = _grid_transition(ch, grid)
     f = w.sum(axis=2) - np.einsum("bjk,jks->bs", w, t_mat)
@@ -393,7 +372,10 @@ def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
 
     Counts trajectories with ||F(empirical)||_inf >= eps + 1/n and compares
     the frequency against 2|S| exp(-n eps^2 / 2) plus three binomial standard
-    errors.  Requires trials >= 100.
+    errors.  Requires trials >= 100.  Trial k reads substream k of seed.  jobs
+    is accepted and ignored: trials run in one thread, since the
+    history-dependent path holds the interpreter lock and threads bought
+    nothing.
     """
     if trials < 100:
         raise ChannelError("need at least 100 trials")
@@ -404,22 +386,11 @@ def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
         bad = _azuma_batch(ch, _stationary_grid_map(policy, grid), grid,
                            n, eps, trials, seed)
     else:
-        def count_range(lo, hi):
-            bad = 0
-            for k in range(lo, hi):
-                m = simulate_trajectory(ch, policy, grid, n, seed, substream=k)
-                f = f_functional(ch, m)
-                if float(np.max(np.abs(f))) >= eps + 1.0 / n:
-                    bad += 1
-            return bad
-
-        if jobs and jobs > 1:
-            chunk = (trials + jobs - 1) // jobs
-            spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                bad = sum(pool.map(lambda sp: count_range(*sp), spans))
-        else:
-            bad = count_range(0, trials)
+        bad = 0
+        for k in range(trials):
+            m = simulate_trajectory(ch, policy, grid, n, seed, substream=k)
+            if float(np.max(np.abs(f_functional(ch, m)))) >= eps + 1.0 / n:
+                bad += 1
     empirical = bad / trials
     bound = 2.0 * ch.n_states * math.exp(-n * eps * eps / 2.0)
     se = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)

@@ -57,7 +57,6 @@ class _Evaluator:
         plnp = np.where(self.P > 0.0, self.P * np.log(np.maximum(self.P, 1e-300)), 0.0)
         self.PlnP = plnp.sum(axis=(2, 3))      # (S, X)
         self.S, self.X = ch.n_states, ch.n_inputs
-        self.eye = np.eye(self.S)
 
     def sanitize(self, pi):
         pi = np.clip(pi, 0.0, None)
@@ -74,21 +73,8 @@ class _Evaluator:
         plnq = np.einsum("sxvy,bsvy->bsx", self.P, lnq)
         inner = self.PlnP[None, :, :] - plnq
         c = np.where(pi > 0.0, pi * inner, 0.0).sum(axis=2)    # (B, S)
-        mu = self.measures(pi)
+        mu = stationary_measure(np.einsum("bsx,sxv->bsv", pi, self.PS))
         return (mu * c).sum(axis=1), c, mu
-
-    def measures(self, pi):
-        qs = np.einsum("bsx,sxv->bsv", pi, self.PS)
-        a = np.transpose(qs, (0, 2, 1)) - self.eye[None, :, :]
-        a[:, -1, :] = 1.0
-        b = np.zeros((pi.shape[0], self.S))
-        b[:, -1] = 1.0
-        try:
-            mu = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            mu = np.stack([stationary_measure(qs[i]) for i in range(qs.shape[0])])
-        mu = np.clip(mu, 0.0, None)
-        return mu / mu.sum(axis=1, keepdims=True)
 
 
 def _project_simplex(v):
@@ -301,8 +287,9 @@ def _kl_tables(ch):
 def burnashev_coefficient(ch) -> BurnashevResult:
     """Best binary-hypothesis divergence rate over deterministic map pairs.
 
-    Exhaustive over (f0, f1); the chain is controlled by f0 alone, so each f0
-    costs one stationary solve and a vectorized scan over all f1.  Ties keep
+    Exhaustive over (f0, f1); the chain is controlled by f0 alone, so one
+    stacked stationary solve covers every f0, and each f0 costs a vectorized
+    scan over all f1.  Ties keep
     the first maximizer in lexicographic (f0, f1) order.
     """
     ok, violators = check_assumption1(ch)
@@ -318,9 +305,7 @@ def burnashev_coefficient(ch) -> BurnashevResult:
     state_idx = np.arange(S)
     best_val, best_pair = -math.inf, None          # -inf < any; +inf encodes infinite D
     best_fin_val, best_fin_pair = -math.inf, None
-    mus = np.empty((n_maps, S))
-    for i in range(n_maps):
-        mus[i] = stationary_measure(ps[state_idx, maps[i], :])
+    mus = stationary_measure(ps[state_idx, maps])                 # (n_maps, S)
     for i in range(n_maps):
         f0 = maps[i]
         mu = mus[i]

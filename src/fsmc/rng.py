@@ -7,6 +7,12 @@ word j is word j mod 4 of the block at counter j//4 + 1, and its uniform is
 `uniforms` reads any window of it for many substreams at once, by counter,
 with no generator per substream.  The two agree bit for bit, so a trial's
 randomness depends only on (seed, trial), never on batching or scheduling.
+
+A uniform u picks a cell from weights by inverse CDF: the cell is
+min(#{cdf <= u}, last), where cdf is the running sum of the weights and last
+the index of the last positive weight, so zero-mass cells stay unreachable
+even when the running sum ends below 1.  `inverse_cdf` builds the tables and
+`draw` applies the rule to arrays of uniforms.
 """
 from __future__ import annotations
 
@@ -29,6 +35,21 @@ def stream(seed: int, substream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, substream)."""
     key = np.array([seed & _MASK64, substream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def inverse_cdf(weights):
+    """(cdf, last) along the last axis: running sums of the weights and the
+    index of the last positive weight (0 for a row with none)."""
+    w = np.asarray(weights, dtype=np.float64)
+    pos = w > 0.0
+    last = np.where(pos.any(axis=-1), w.shape[-1] - 1 - np.argmax(pos[..., ::-1], axis=-1), 0)
+    return np.cumsum(w, axis=-1), last
+
+
+def draw(cdf, last, u):
+    """Cells min(#{cdf <= u}, last) for uniforms u; cdf rows (..., K) and last
+    (...) broadcast against u."""
+    return np.minimum((cdf <= np.asarray(u)[..., None]).sum(axis=-1), last)
 
 
 def _mulhilo(m: int, x: np.ndarray):

@@ -97,13 +97,9 @@ class Scheme:
         self._S, self._X, self._Y = S, X, Y
         k = ch.kernel
         flat = k.reshape(S, X, S * Y)
-        self._pair_cdf = np.cumsum(flat, axis=2)
-        pos = flat > 0.0
-        self._last_pos = np.where(pos.any(axis=2),
-                                  (S * Y - 1) - np.argmax(pos[:, :, ::-1], axis=2), 0)
-        self._init_cdf = np.cumsum(ch.initial_dist)
-        self._init_last = int(np.nonzero(ch.initial_dist > 0.0)[0][-1])
-        self._logk = np.where(pos, np.log(np.maximum(flat, 1e-300)), -1e18)  # (S, X, SY)
+        self._pair_cdf, self._last_pos = _rng.inverse_cdf(flat)
+        self._init_cdf, self._init_last = _rng.inverse_cdf(ch.initial_dist)
+        self._logk = np.where(flat > 0.0, np.log(np.maximum(flat, 1e-300)), -1e18)  # (S, X, SY)
         f0, f1 = np.array(exp_result.f0), np.array(exp_result.f1)
         self._f0, self._f1 = f0, f1
         p0 = k[np.arange(S), f0].reshape(S, S, Y)   # P(v, y | s, f0(s))
@@ -130,21 +126,12 @@ class Scheme:
         if self._codebook is None:
             cfg = self.config
             w_total, n_hat, S = cfg.message_count, cfg.n_hat, self._S
-            pol_cdf = np.cumsum(self.capacity_result.optimal_policy.matrix(), axis=1)
-            last = np.array([
-                int(np.nonzero(self.capacity_result.optimal_policy.matrix()[s] > 0.0)[0][-1])
-                for s in range(S)
-            ])
+            pol_cdf, last = _rng.inverse_cdf(self.capacity_result.optimal_policy.matrix())
             gen = _rng.stream(cfg.seed, _rng.CODEBOOK_STREAM)
             blocks = []
             for lo in range(0, w_total, _CODEBOOK_CHUNK):
-                hi = min(lo + _CODEBOOK_CHUNK, w_total)
-                u = gen.random((hi - lo, n_hat, S))
-                idx = np.empty((hi - lo, n_hat, S), dtype=np.int8)
-                for s in range(S):
-                    cnt = (pol_cdf[s][None, None, :] <= u[:, :, s, None]).sum(axis=2)
-                    idx[:, :, s] = np.minimum(cnt, last[s])
-                blocks.append(idx)
+                u = gen.random((min(lo + _CODEBOOK_CHUNK, w_total) - lo, n_hat, S))
+                blocks.append(_rng.draw(pol_cdf, last, u).astype(np.int8))
             self._codebook = np.concatenate(blocks, axis=0)
         return self._codebook
 
@@ -196,9 +183,7 @@ def build_scheme(ch, config: SchemeConfig, cap_result: CapacityResult | None = N
 
 def _sample_pairs(scheme, s, x, u):
     """Draw (next_state, output) for each trial from kernel rows (s, x)."""
-    rows = scheme._pair_cdf[s, x]                    # (B, S*Y)
-    cnt = (rows <= u[:, None]).sum(axis=1)
-    flat = np.minimum(cnt, scheme._last_pos[s, x])   # zero-mass cells stay unreachable
+    flat = _rng.draw(scheme._pair_cdf[s, x], scheme._last_pos[s, x], u)
     return flat // scheme._Y, flat % scheme._Y
 
 
@@ -298,14 +283,13 @@ def _phase2_one(scheme, bit, s, u):
 
 
 def _draw_initial(scheme, u):
-    cnt = (scheme._init_cdf[None, :] <= u[:, None]).sum(axis=1)
-    return np.minimum(cnt, scheme._init_last)
+    return _rng.draw(scheme._init_cdf, scheme._init_last, u)
 
 
 def _start(scheme, gen, start_state) -> int:
     """start_state if given, else drawn with one uniform from gen."""
     if start_state is None:
-        return int(_draw_initial(scheme, gen.random(1))[0])
+        return int(_draw_initial(scheme, gen.random()))
     return int(start_state)
 
 

@@ -80,3 +80,33 @@ def test_stationary_measure_periodic_chain():
     q = np.array([[0.0, 1.0], [1.0, 0.0]])
     mu = fsmc.stationary_measure(q)
     assert np.max(np.abs(mu - 0.5)) < 1e-12
+
+
+def _sparse_chain(gen, n):
+    q = gen.random((n, n)) * (gen.random((n, n)) < 0.4)
+    q[np.arange(n), (np.arange(n) + 1) % n] += 0.05      # the full cycle: irreducible
+    return q / q.sum(axis=1, keepdims=True)
+
+
+def test_stacked_stationary_measure_matches_single_calls():
+    gen = np.random.default_rng(2024)
+    for n in (2, 3, 5, 8):
+        stack = np.stack([_sparse_chain(gen, n) for _ in range(24)])
+        singles = np.stack([fsmc.stationary_measure(q) for q in stack])
+        got = fsmc.stationary_measure(stack)
+        assert got.shape == (24, n) and got.tobytes() == singles.tobytes()
+        nested = fsmc.stationary_measure(stack.reshape(4, 6, n, n))
+        assert nested.shape == (4, 6, n) and nested.tobytes() == singles.tobytes()
+
+
+def test_stacked_stationary_measure_periodic_and_singular():
+    """A singular matrix in the stack falls back alone; the others keep the
+    bits of their single calls."""
+    gen = np.random.default_rng(7)
+    cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
+    stack = np.stack([_sparse_chain(gen, 2), cycle, np.eye(2), _sparse_chain(gen, 2)])
+    got = fsmc.stationary_measure(stack)
+    assert got[2].tolist() == [0.5, 0.5]
+    for i in (0, 1, 3):
+        assert got[i].tobytes() == fsmc.stationary_measure(stack[i]).tobytes()
+    assert got[1].tolist() == [0.5, 0.5]
