@@ -134,13 +134,12 @@ def cmd_burnashev(args) -> int:
             "next_state": ch.state_labels[witness["next_state"]],
             "output": ch.output_labels[witness["output"]],
         }
-    submax = res.diagnostics.get("finite_submax_nats")
     _emit_json({
         f"D_{suffix}": res.D.to_float() / unit if res.D.is_finite else math.inf,
         "f0": [ch.input_labels[x] for x in res.f0],
         "f1": [ch.input_labels[x] for x in res.f1],
         "per_state_terms": [t / unit for t in res.per_state_terms],
-        f"finite_submax_{suffix}": None if submax is None else submax / unit,
+        f"finite_submax_{suffix}": res.diagnostics["finite_submax_nats"] / unit,
         "witness": witness,
     })
     return 0
@@ -285,10 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ChannelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ChannelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,86 +1,64 @@
-"""Irreducibility checks and stationary measures for finite chains."""
-from __future__ import annotations
+"""Irreducibility checks and stationary measures for finite chains.
 
-import itertools
+A chain is reducible iff some proper state set is closed.  The largest
+closed sets are greatest fixed points, so Assumption 1 (every deterministic
+map gives an irreducible chain) is decided in polynomial time.
+"""
+from __future__ import annotations
 
 import numpy as np
 
 from .channel import ChannelError, s_marginal
 
 RESIDUAL_TOL = 1e-10     # ||mu Q - mu||_inf enforced on every solve
-ASSUMPTION1_CAP = 10**6  # refuse to enumerate more deterministic maps
 
 
-def _sccs(adj):
-    """Strongly connected components, iterative Kosaraju (no recursion)."""
-    n = len(adj)
-    radj = [[] for _ in range(n)]
-    for i, row in enumerate(adj):
-        for j in row:
-            radj[j].append(i)
-    order, seen = [], [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [(start, iter(adj[start]))]
-        seen[start] = True
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    comp, labeled = [], [False] * n
-    for start in reversed(order):
-        if labeled[start]:
-            continue
-        members, stack = [], [start]
-        labeled[start] = True
-        while stack:
-            node = stack.pop()
-            members.append(node)
-            for nxt in radj[node]:
-                if not labeled[nxt]:
-                    labeled[nxt] = True
-                    stack.append(nxt)
-        comp.append(members)
-    return comp
+def _closed_set_exists(out, allowed) -> bool:
+    """Is some proper nonempty state set A closed: does each s in A have an
+    allowed input whose next-state support out[s, x] stays in A?  Closed sets
+    are closed under union, so the largest one avoiding state t is a greatest
+    fixed point: start from all states but t, drop states that cannot stay."""
+    S, X = allowed.shape
+    flat = out.reshape(S * X, S).astype(np.int64)
+    keep = ~np.eye(S, dtype=bool)                  # row t: candidate set for excluded t
+    while True:
+        stays = ((~keep).astype(np.int64) @ flat.T == 0).reshape(S, S, X)   # (t, s, x)
+        new = keep & (stays & allowed).any(axis=2)
+        if (new == keep).all():
+            return bool(keep.any())
+        keep = new
 
 
 def is_irreducible(q) -> bool:
-    """True iff the support graph of the transition matrix is one SCC."""
+    """True iff the support graph of the transition matrix is one SCC, that
+    is, iff no proper state set is closed."""
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ChannelError("transition matrix must be square")
-    n = q.shape[0]
-    adj = [list(np.nonzero(q[i] > 0.0)[0]) for i in range(n)]
-    return len(_sccs(adj)) == 1
+    return not _closed_set_exists(q[:, None, :] > 0.0, np.ones((len(q), 1), dtype=bool))
 
 
-def check_assumption1(ch, cap: int = ASSUMPTION1_CAP):
+def check_assumption1(ch):
     """Check irreducibility of Q_f for every deterministic state-feedback map.
 
-    Returns (ok, violators) where violators lists the maps f (tuples of input
-    indices, one per state) whose induced chain is reducible.  By linearity of
-    the transition law in the per-state input distribution, irreducibility for
-    all deterministic maps extends to all stationary policies.
+    Returns (ok, violators): violators is empty if every map f (a tuple of
+    input indices, one per state) gives an irreducible chain, and otherwise
+    holds one map, the lexicographically first reducible one, built by fixing
+    f(0), f(1), ... to the smallest input that still leaves a closed set.
+    By linearity in the per-state input law, irreducibility for all
+    deterministic maps extends to all stationary policies.
     """
     S, X = ch.n_states, ch.n_inputs
-    if X**S > cap:
-        raise ChannelError(f"{X}**{S} deterministic maps exceeds cap {cap}")
-    ps = s_marginal(ch)
-    violators = []
-    for f in itertools.product(range(X), repeat=S):
-        q = ps[np.arange(S), f, :]
-        if not is_irreducible(q):
-            violators.append(f)
-    return (not violators), violators
+    out = s_marginal(ch) > 0.0                     # (S, X, S) next-state supports
+    allowed = np.ones((S, X), dtype=bool)
+    if not _closed_set_exists(out, allowed):
+        return True, []
+    for s in range(S):
+        for x in range(X):
+            allowed[s] = np.arange(X) == x
+            if x == X - 1 or _closed_set_exists(out, allowed):
+                break
+    return False, [tuple(int(x) for x in allowed.argmax(axis=1))]
 
 
 def stationary_measure(q) -> np.ndarray:

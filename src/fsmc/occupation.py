@@ -351,7 +351,9 @@ def _azuma_batch(ch, state_to_k, grid, n, eps, trials, seed) -> int:
     S, Y, K = ch.n_states, ch.n_outputs, len(grid)
     in_cdf, in_last = _rng.inverse_cdf(grid.matrix())                 # (K, X), (K,)
     pair_cdf, pair_last = _rng.inverse_cdf(ch.kernel.reshape(S, ch.n_inputs, S * Y))
-    u = np.stack([_rng.stream(seed, k).random(2 * n + 1) for k in range(trials)])
+    u = np.empty((trials, 2 * n + 1))
+    for k in range(trials):
+        _rng.stream(seed, k).random(out=u[k])
     s = _rng.draw(*_rng.inverse_cdf(ch.initial_dist), u[:, 0])
     counts = np.zeros((trials, S, K), dtype=np.int64)
     rows = np.arange(trials)

@@ -9,7 +9,8 @@ measure is policy-free and each state solves independently (Blahut-Arimoto).
 
 The exponent coefficient D is max over deterministic map pairs (f0, f1) of
 sum_s mu_{f0}(s) KL(P(.|s, f0(s)) || P(.|s, f1(s))); only f0's ergodic
-measure enters.  The reliability function is E(R) = D (1 - R/C).
+measure enters, so D is an average-reward MDP over f0, solved by Howard
+policy iteration.  The reliability function is E(R) = D (1 - R/C).
 """
 from __future__ import annotations
 
@@ -265,92 +266,115 @@ def capacity_grid_oracle(ch, resolution: int) -> float:
 # exponent coefficient
 
 def _kl_tables(ch):
-    """Pairwise per-state KLs between input corners, plus infinity witnesses."""
-    S, X = ch.n_states, ch.n_inputs
-    fin = np.zeros((S, X, X))
-    inf = np.zeros((S, X, X), dtype=bool)
-    wit = {}
-    for s in range(S):
-        for x0 in range(X):
-            for x1 in range(X):
-                val = kl_divergence(ch.kernel[s, x0], ch.kernel[s, x1])
-                if val.is_inf:
-                    inf[s, x0, x1] = True
-                    p0, p1 = ch.kernel[s, x0], ch.kernel[s, x1]
-                    v, y = np.argwhere((p0 > 0.0) & (p1 == 0.0))[0]
-                    wit[(s, x0, x1)] = (int(v), int(y))
-                else:
-                    fin[s, x0, x1] = val.value
-    return fin, inf, wit
+    """Per-state KLs between input corners (0 where infinite), and where infinite."""
+    inf = ((ch.kernel[:, :, None] > 0.0) & (ch.kernel[:, None, :] == 0.0)).any(axis=(3, 4))
+    fin = np.zeros(inf.shape)
+    for s, x0, x1 in zip(*np.nonzero(~inf)):
+        fin[s, x0, x1] = kl_divergence(ch.kernel[s, x0], ch.kernel[s, x1]).value
+    return fin, inf
+
+
+def _first_hitting(hit):
+    """Lexicographically first map f with hit[s, f(s)] for some s: all zeros if
+    some state hits with input 0, else zeros but at the last state that hits."""
+    s = np.nonzero(hit[:, 0] if hit[:, 0].any() else hit.any(axis=1))[0][-1]
+    return tuple(int(np.argmax(hit[s])) if t == s else 0 for t in range(len(hit)))
+
+
+def _lex_first_argmax(mus, terms, allowed):
+    """For each row b, the lexicographically first f maximizing
+    sum_s mus[b, s] terms[s, f(s)] over cells allowed[b], valued as a row sum
+    (mus * rows).sum(axis=-1).  That sum never falls when a term grows, so a
+    prefix extends to a maximizer iff completing it with per-state maxima
+    reaches the maximum.  Returns (values (B,), maps (B, S), rows valued)."""
+    row = np.where(allowed, terms, -math.inf).max(axis=2)                 # (B, S)
+    best = (mus * row).sum(axis=1)
+    f = np.zeros(row.shape, dtype=int)
+    for s in range(row.shape[1]):
+        rows = np.repeat(row[:, None, :], terms.shape[1], axis=1)         # (B, X, S)
+        rows[:, :, s] = terms[s]
+        hit = allowed[:, s] & ((mus[:, None, :] * rows).sum(axis=2) == best[:, None])
+        f[:, s] = hit.argmax(axis=1)
+        row[:, s] = terms[s, f[:, s]]
+    return best, f, len(row) * (1 + terms.size)
+
+
+def _best_confirm_map(ps, g):
+    """Lexicographically first f0 with the largest sum_s mu_{f0}(s) g(s, f0(s)).
+
+    Howard policy iteration gives the optimal relative values h; only maps of
+    near-conserving actions (g + P h within a relative 1e-9 of the state's
+    best) can reach the float maximum.  Grouped per state by transition row, a choice
+    of groups fixes the chain: a stacked solve values the choices and
+    _lex_first_argmax searches the best.  Returns (value, f0, mu, rows, iters)."""
+    S, X = g.shape
+    states, f = np.arange(S), np.argmax(g, axis=1)
+    for iters in range(1, 1000):
+        m = np.eye(S) - ps[states, f]
+        m[:, 0] = 1.0                          # h(0) = 0; column 0 carries the gain
+        q = g + ps[:, :, 1:] @ np.linalg.solve(m, g[states, f])[1:]     # g + P h
+        scale = 1.0 + float(np.abs(q).max())
+        switch = q.max(axis=1) > q[states, f] + 1e-12 * scale
+        if not switch.any():
+            break
+        f = np.where(switch, np.argmax(q, axis=1), f)
+    else:
+        raise ChannelError("policy iteration did not converge")
+    # near-conserving actions; if g = 0, every map is worth exactly 0 and action 0 will do
+    near = (q >= q.max(axis=1, keepdims=True) - 1e-9 * scale) & (g.any() | (np.arange(X) == 0))
+    # per state, the near actions grouped by identical transition row
+    same = (ps[:, :, None] == ps[:, None, :]).all(axis=3) & near[:, None, :]
+    masks = [np.array(list({m.tobytes(): m for m in same[s][near[s]]}.values())) for s in states]
+    best, rows = None, 0
+    choices = itertools.product(*[range(len(m)) for m in masks])
+    while (chunk := np.array(list(itertools.islice(choices, 4096)), dtype=int)).size:
+        allowed = np.stack([masks[s][chunk[:, s]] for s in states], axis=1)    # (B, S, X)
+        mus = stationary_measure(ps[states, allowed.argmax(axis=2)])
+        vals, maps, n = _lex_first_argmax(mus, g, allowed)
+        rows += n
+        b = min(np.nonzero(vals == vals.max())[0], key=lambda b: tuple(maps[b]))
+        if best is None or (vals[b], best[1]) > (best[0], tuple(maps[b])):  # larger, or lex-first
+            best = (float(vals[b]), tuple(int(x) for x in maps[b]), mus[b])
+    return best + (rows, iters)
 
 
 def burnashev_coefficient(ch) -> BurnashevResult:
     """Best binary-hypothesis divergence rate over deterministic map pairs.
 
-    Exhaustive over (f0, f1); the chain is controlled by f0 alone, so one
-    stacked stationary solve covers every f0, and each f0 costs a vectorized
-    scan over all f1.  Ties keep
-    the first maximizer in lexicographic (f0, f1) order.
+    The chain is controlled by f0 alone, so given f0 the best f1 is a
+    per-state maximum and D is an average-reward MDP over f0 with reward
+    g(s, x0) = max_x1 KL, solved by policy iteration.  Ties keep the first
+    maximizer in lexicographic (f0, f1) order; when D = +inf that is the
+    first f0, then f1, with an infinite term.
     """
     ok, violators = check_assumption1(ch)
     if not ok:
         raise ChannelError(f"reducible policy chain, e.g. deterministic map {violators[0]}")
-    S, X = ch.n_states, ch.n_inputs
-    if X ** (2 * S) > 10**6:
-        raise ChannelError("map-pair enumeration exceeds 10^6")
-    fin, inf, wit = _kl_tables(ch)
-    maps = np.array(list(itertools.product(range(X), repeat=S)), dtype=int)  # lex order
-    n_maps = maps.shape[0]
-    ps = s_marginal(ch)
-    state_idx = np.arange(S)
-    best_val, best_pair = -math.inf, None          # -inf < any; +inf encodes infinite D
-    best_fin_val, best_fin_pair = -math.inf, None
-    mus = stationary_measure(ps[state_idx, maps])                 # (n_maps, S)
-    for i in range(n_maps):
-        f0 = maps[i]
-        mu = mus[i]
-        # fancy-index the per-state KL at (s, f0[s], f1[s]) for every f1 at once
-        kl_slice = fin[state_idx[None, :], f0[None, :], maps]      # (n_maps, S)
-        inf_slice = inf[state_idx[None, :], f0[None, :], maps]
-        vals = (mu[None, :] * kl_slice).sum(axis=1)
-        has_inf = inf_slice.any(axis=1)
-        vals_ext = np.where(has_inf, math.inf, vals)
-        j = int(np.argmax(vals_ext))
-        if vals_ext[j] > best_val:
-            best_val, best_pair = float(vals_ext[j]), (i, j)
-        finite_vals = np.where(has_inf, -math.inf, vals)
-        jf = int(np.argmax(finite_vals))
-        if finite_vals[jf] > best_fin_val:
-            best_fin_val, best_fin_pair = float(finite_vals[jf]), (i, jf)
-    i, j = best_pair
-    f0, f1 = tuple(int(v) for v in maps[i]), tuple(int(v) for v in maps[j])
-    mu = mus[i]
-    terms = np.empty(S)
-    witness = None
-    for s in range(S):
-        if inf[s, f0[s], f1[s]]:
-            terms[s] = math.inf
-            if witness is None:
-                v, y = wit[(s, f0[s], f1[s])]
-                witness = {"state": s, "next_state": v, "output": y}
-        else:
-            terms[s] = mu[s] * fin[s, f0[s], f1[s]]
-    if math.isinf(best_val):
-        d_val = ExtReal.infinity()
+    fin, inf = _kl_tables(ch)
+    ps, states = s_marginal(ch), np.arange(ch.n_states)
+    # fin is 0 at infinite cells and on the diagonal, so its max is the finite submaximum
+    submax, f0, mu, rows, iters = _best_confirm_map(ps, fin.max(axis=2))
+    if inf.any():
+        f0 = _first_hitting(inf.any(axis=2))
+        f1 = _first_hitting(inf[states, f0])
+        mu, d_val = stationary_measure(ps[states, f0]), ExtReal.infinity()
     else:
-        d_val = ExtReal(best_val)
-        recheck = sum(
-            mu[s] * kl_divergence(ch.kernel[s, f0[s]], ch.kernel[s, f1[s]]).finite_value()
-            for s in range(S)
-        )
+        vals, maps, n = _lex_first_argmax(mu[None], fin[states, f0],
+                                          np.ones((1,) + fin.shape[:2], dtype=bool))
+        best_val, f1 = float(vals[0]), tuple(int(x) for x in maps[0])
+        rows, d_val = rows + n, ExtReal(best_val)
+        recheck = sum(mu[s] * kl_divergence(ch.kernel[s, f0[s]], ch.kernel[s, f1[s]]).value
+                      for s in states)
         if abs(recheck - best_val) > 1e-12:
             raise ChannelError("exponent coefficient recomputation mismatch")
-    diag = {
-        "pairs_scanned": int(n_maps) ** 2,
-        "finite_submax_nats": None if best_fin_pair is None or best_fin_val == -math.inf
-        else float(best_fin_val),
-        "witness": witness,
-    }
+    hit = inf[states, f0, f1]
+    terms = np.where(hit, math.inf, mu * fin[states, f0, f1])
+    diag = {"pairs_scanned": rows, "policy_iterations": iters,
+            "finite_submax_nats": submax, "witness": None}
+    if hit.any():
+        s = int(np.argmax(hit))
+        v, y = np.argwhere((ch.kernel[s, f0[s]] > 0.0) & (ch.kernel[s, f1[s]] == 0.0))[0]
+        diag["witness"] = {"state": s, "next_state": int(v), "output": int(y)}
     return BurnashevResult(d_val, f0, f1, terms, diag)
 
 
