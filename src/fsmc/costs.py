@@ -126,7 +126,8 @@ def kl_divergence(p, q) -> ExtReal:
     sup = p > 0.0
     if np.any(q[sup] == 0.0):
         return ExtReal.infinity()
-    return ExtReal(float(np.dot(p[sup], np.log(p[sup] / q[sup]))))
+    # KL >= 0, but rounding leaves a tiny negative sum for nearly equal p, q
+    return ExtReal(max(0.0, float(np.dot(p[sup], np.log(p[sup] / q[sup])))))
 
 
 def mi_cost(ch, s: int, u: InputDist) -> float:

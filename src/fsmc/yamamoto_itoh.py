@@ -13,9 +13,9 @@ the sphere-packing bound.
 All randomness is drawn from per-trial Philox substreams (seed, trial):
 trial t reads stream offsets 0-1 (message, initial state) and offsets
 [2 + e n, 2 + (e+1) n) in epoch e.  simulate reads those windows by counter
-for all active trials at once and keeps trials as rows of arrays; each
-epoch's data phase is decoded in one product over the active trials, so a
-report never depends on how work is scheduled.
+for all active trials at once and keeps trials as rows of arrays; the data
+phase decodes by a rule that no block size or batch shape can change
+(_decode), so a report never depends on how work is scheduled.
 """
 from __future__ import annotations
 
@@ -30,8 +30,9 @@ from .channel import ChannelError
 from .planner import BurnashevResult, CapacityResult, burnashev_coefficient, capacity
 
 MESSAGE_CAP = 1 << 16
-_E_ENTRY_BUDGET = 64_000_000      # max float64 entries for the eager decode matrix
 _CODEBOOK_CHUNK = 4096            # codewords drawn per block (fixed: determinism)
+_MESSAGE_BLOCK = 4096             # codewords per one-hot block of the decode screen
+_SCORE_BLOCK = 1 << 20            # float32 entries per score and per-use block
 
 
 def _message_count(n: int, rate: float) -> int:
@@ -116,7 +117,6 @@ class Scheme:
                                                  self._forbid, f0, f1))
         self.infinite_d = exp_result.D.is_inf
         self._codebook = None
-        self._indicator = None
 
     # -- lazy codebook ------------------------------------------------------
 
@@ -134,24 +134,6 @@ class Scheme:
                 blocks.append(_rng.draw(pol_cdf, last, u).astype(np.int8))
             self._codebook = np.concatenate(blocks, axis=0)
         return self._codebook
-
-    def _ensure_indicator(self):
-        """One-hot (W, n_hat*S*X) float64 used by the dot-product ML decoder."""
-        if self._indicator is not None:
-            return self._indicator
-        cfg = self.config
-        entries = cfg.message_count * cfg.n_hat * self._S * self._X
-        if entries > _E_ENTRY_BUDGET:
-            return None                              # decode falls back to chunks
-        cb = self.codebook
-        w_total, n_hat, S, X = cfg.message_count, cfg.n_hat, self._S, self._X
-        e = np.zeros((w_total, n_hat, S, X))
-        wi = np.arange(w_total)[:, None, None]
-        ti = np.arange(n_hat)[None, :, None]
-        si = np.arange(S)[None, None, :]
-        e[wi, ti, si, cb] = 1.0
-        self._indicator = e.reshape(w_total, -1)
-        return self._indicator
 
 
 def build_scheme(ch, config: SchemeConfig, cap_result: CapacityResult | None = None,
@@ -181,87 +163,104 @@ def build_scheme(ch, config: SchemeConfig, cap_result: CapacityResult | None = N
 # ---------------------------------------------------------------------------
 # vectorized batch engine
 
-def _sample_pairs(scheme, s, x, u):
-    """Draw (next_state, output) for each trial from kernel rows (s, x)."""
-    flat = _rng.draw(scheme._pair_cdf[s, x], scheme._last_pos[s, x], u)
-    return flat // scheme._Y, flat % scheme._Y
-
-
 def _phase1_batch(scheme, w, s0, u):
     """Data phase for a batch: returns (decoded, end_state, state_paths)."""
-    cfg = scheme.config
-    b, n_hat = u.shape[0], cfg.n_hat
-    cb = scheme.codebook
+    b, n_hat = u.shape
     ss = np.empty((b, n_hat), dtype=np.int64)
-    vv = np.empty((b, n_hat), dtype=np.int64)
-    yy = np.empty((b, n_hat), dtype=np.int64)
+    obs = np.empty((b, n_hat), dtype=np.int64)      # flat (next state, output) cells
     s = s0.astype(np.int64)
     for t in range(n_hat):
-        x = cb[w, t, s].astype(np.int64)
-        v, y = _sample_pairs(scheme, s, x, u[:, t])
-        ss[:, t], vv[:, t], yy[:, t] = s, v, y
-        s = v
-    flat_obs = vv * scheme._Y + yy
-    # per-use scores at the visited state; other states stay 0 so that the
-    # dot product with the codebook indicator reads off the codeword score
-    scores_u = np.zeros((b, n_hat, scheme._S, scheme._X))
-    bi = np.arange(b)[:, None]
-    ti = np.arange(n_hat)[None, :]
-    scores_u[bi, ti, ss, :] = scheme._logk[ss, :, flat_obs]
-    u_flat = scores_u.reshape(b, -1)
-    e = scheme._ensure_indicator()
-    if e is not None:
-        decoded = np.argmax(u_flat @ e.T, axis=1)
-    else:
-        decoded = _chunked_decode(scheme, u_flat)
-    return decoded, s, ss
+        x = scheme.codebook[w, t, s]
+        obs[:, t] = _rng.draw(scheme._pair_cdf[s, x], scheme._last_pos[s, x], u[:, t])
+        ss[:, t] = s
+        s = obs[:, t] // scheme._Y
+    return _decode(scheme, ss, obs, w), s, ss
 
 
-def _chunked_decode(scheme, u_flat):
-    """ML decode against codeword blocks when the full matrix is too large."""
-    cfg = scheme.config
-    n_hat, S, X = cfg.n_hat, scheme._S, scheme._X
-    cb = scheme.codebook
-    b = u_flat.shape[0]
-    best = np.full(b, -math.inf)
-    arg = np.zeros(b, dtype=np.int64)
-    chunk = max(1, _E_ENTRY_BUDGET // (4 * n_hat * S * X))
-    ti = np.arange(n_hat)[None, :, None]
-    si = np.arange(S)[None, None, :]
-    for lo in range(0, cfg.message_count, chunk):
-        hi = min(lo + chunk, cfg.message_count)
-        e = np.zeros((hi - lo, n_hat, S, X))
-        wi = np.arange(hi - lo)[:, None, None]
-        e[wi, ti, si, cb[lo:hi]] = 1.0
-        sc = u_flat @ e.reshape(hi - lo, -1).T
-        loc = np.argmax(sc, axis=1)
-        val = sc[np.arange(b), loc]
-        better = val > best                          # strict: keeps lowest index on ties
-        best[better] = val[better]
-        arg[better] = loc[better] + lo
-    return arg
+def _exact_scores(scheme, ss, obs, w):
+    """Per row, the in-order (cumsum) sum of _logk[s_t, cb[w, t, s_t], obs_t]."""
+    x = scheme.codebook[w[:, None], np.arange(ss.shape[1]), ss]
+    return np.cumsum(scheme._logk[ss, x, obs], axis=1)[:, -1]
+
+
+def _decode(scheme, ss, obs, hint):
+    """Maximum-likelihood message per row of visited states ss and observed
+    (next state, output) cells obs.
+
+    The rule: codeword w scores the left-to-right float sum over t of
+    _logk[s_t, cb[w, t, s_t], obs_t]; the lowest index among exact maxima
+    wins.  A float32 BLAS screen over fixed blocks of messages (outer) and
+    trials (inner) keeps every (trial, w) that could be such a maximum, and
+    only trials left with several are rescored by the rule, so neither block
+    sizes nor BLAS rounding can change a decode, and memory is set by the
+    block constants.  The exact score of hint (the codeword sent) seeds each
+    trial's running maximum.
+    """
+    cb, (b, n_hat), S, X = scheme.codebook, ss.shape, scheme._S, scheme._X
+    w_total, k = cb.shape[0], n_hat * S * X
+    m_blk = min(_MESSAGE_BLOCK, w_total)
+    t_blk = max(1, _SCORE_BLOCK // max(m_blk, k))
+    # Every per-use term is <= 0 and enters the product times 1 or 0, so in
+    # any summation order a screen score and the float64 left-to-right sum
+    # both lie within about n_hat*eps/2 * |exact sum| of the exact sum (eps
+    # of float32).  The winner's screen score is then at most about
+    # n_hat*eps*|m| below a running maximum m: the slack tol*(1+|m|) has a
+    # fourfold margin.  m - tol*(1+|m|) grows with m, so a maximum still
+    # rising never drops the winner either.
+    tol = 4.0 * (n_hat + 2) * float(np.finfo(np.float32).eps)
+    best = _exact_scores(scheme, ss, obs, hint)
+    # row s*SY + o holds the per-use scores (s', x), zero unless s' = s
+    per_use = np.zeros((S, S * scheme._Y, S, X), dtype=np.float32)
+    per_use[np.arange(S), :, np.arange(S), :] = scheme._logk.transpose(0, 2, 1)
+    per_use = per_use.reshape(-1, S * X)
+    e = np.empty((m_blk, n_hat, S, X), dtype=np.float32)
+    cells = np.empty((m_blk, n_hat, S), dtype=np.intp)  # reused: take is slow on int8
+    found = []
+    for lo_w in range(0, w_total, m_blk):
+        m = min(m_blk, w_total - lo_w)
+        np.copyto(cells[:m], cb[lo_w:lo_w + m])
+        np.take(np.eye(X, dtype=np.float32), cells[:m], axis=0, out=e[:m])
+        e_t = e[:m].reshape(m, k).T
+        for lo_t in range(0, b, t_blk):
+            rows = slice(lo_t, lo_t + t_blk)
+            sc = per_use[ss[rows] * (S * scheme._Y) + obs[rows]].reshape(-1, k) @ e_t
+            top, floor = sc.max(axis=1), best[rows]
+            hot = np.flatnonzero(top >= floor - tol * (1.0 - floor))   # hold candidates
+            top = best[hot + lo_t] = np.maximum(floor[hot], top[hot])
+            sc = sc[hot]
+            flat = np.flatnonzero(sc >= (top - tol * (1.0 - top))[:, None])
+            r, c = divmod(flat, m)
+            found.append((hot[r] + lo_t, c + lo_w))
+    trial, cand = map(np.concatenate, zip(*found))
+    decoded = np.empty(b, dtype=np.int64)
+    many = np.bincount(trial, minlength=b)[trial] > 1
+    decoded[trial[~many]] = cand[~many]
+    trial, cand = trial[many], cand[many]
+    exact = _exact_scores(scheme, ss[trial], obs[trial], cand)
+    order = np.lexsort((cand, -exact, trial))
+    trial, cand = trial[order], cand[order]
+    first = np.diff(trial, prepend=-1) != 0         # each trial's winner leads
+    decoded[trial[first]] = cand[first]
+    return decoded
 
 
 def _phase2_batch(scheme, bits, s0, u):
     """Verification phase: returns (decided, end_state, llr)."""
-    cfg = scheme.config
-    n_tilde = cfg.n_tilde
+    n_tilde = scheme.config.n_tilde
     s = s0.astype(np.int64)
     llr = np.zeros(u.shape[0])
     fired = np.zeros(u.shape[0], dtype=bool)
     f0s, f1s = scheme._f0, scheme._f1
     for t in range(n_tilde):
         x = np.where(bits == 0, f0s[s], f1s[s]).astype(np.int64)
-        v, y = _sample_pairs(scheme, s, x, u[:, t])
+        v, y = np.divmod(_rng.draw(scheme._pair_cdf[s, x], scheme._last_pos[s, x], u[:, t]),
+                         scheme._Y)
         if t < n_tilde - 1:                          # the last next-state is unobserved
             llr = llr + scheme._llr_tab[s, v, y]
             fired |= scheme._forbid[s, v, y]
         s = v
-    if scheme.infinite_d:
-        decided = np.where(fired, 0, 1)
-    else:
-        decided = np.where(llr / n_tilde >= scheme.confirm_threshold, 0, 1)
-    return decided, s, llr
+    ok = fired if scheme.infinite_d else llr / n_tilde >= scheme.confirm_threshold
+    return np.where(ok, 0, 1), s, llr
 
 
 def _phase2_one(scheme, bit, s, u):
@@ -381,8 +380,8 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
 
     trace_sink, if given, receives (trial_index, EpochTrace) for every epoch,
     ordered by (trial, epoch).  jobs is accepted and ignored: all trials run
-    as rows of one array, and each epoch's data phase is decoded in one
-    product over the trials still active, so results never depend on it.
+    as rows of one array under a decode rule that no block or batch shape
+    can change, so results never depend on it.
     """
     cfg = scheme.config
     b, n, n_hat, w_total = cfg.trials, cfg.n, cfg.n_hat, cfg.message_count

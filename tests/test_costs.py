@@ -79,6 +79,15 @@ def test_kl_divergence_support():
     assert w.is_inf
 
 
+def test_kl_divergence_never_negative():
+    """Nearly equal laws: the raw float sum is -4e-18 one way round."""
+    p = np.array([[0.25, 0.25], [0.25, 0.25]])
+    q = np.array([[0.25 + 1e-9, 0.25 - 1e-9], [0.25, 0.25]])
+    assert float(np.dot(p.ravel(), np.log(p.ravel() / q.ravel()))) < 0.0
+    assert fsmc.kl_divergence(p, q).finite_value() == 0.0
+    assert fsmc.kl_divergence(q, p).finite_value() > 0.0
+
+
 # ---------------------------------------------------------------------------
 # mutual-information cost
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,18 +116,18 @@ def test_codebook_uses_dedicated_stream():
 # ---------------------------------------------------------------------------
 # data-phase decoding: exact maximum likelihood
 
-def _brute_force_ml(scheme, obs_pairs, states):
-    """Likelihood of each codeword on the visited (state, next, output) path,
-    computed directly from the kernel; ties resolved to the lowest index."""
-    ch = scheme.ch
+def _brute_force_ml(scheme, states, cells):
+    """The decode rule term by term for one trial: each codeword's
+    left-to-right sum of scheme._logk terms on the visited states and the
+    observed flat (next state, output) cells; strict > keeps the lowest index
+    among the exact maxima."""
+    logk = scheme._logk.tolist()
     best_w, best_ll = 0, -math.inf
-    for w in range(scheme.config.message_count):
+    for w, word in enumerate(scheme.codebook.tolist()):
         ll = 0.0
-        for t, (s, (v, y)) in enumerate(zip(states, obs_pairs)):
-            x = int(scheme.codebook[w, t, s])
-            p = ch.kernel[s, x, v, y]
-            ll += math.log(p) if p > 0.0 else -1e18
-        if ll > best_ll + 1e-12:
+        for t, (s, o) in enumerate(zip(states, cells)):
+            ll += logk[s][word[t][s]][o]
+        if ll > best_ll:
             best_w, best_ll = w, ll
     return best_w
 
@@ -174,20 +175,119 @@ def test_phase1_batch_is_exact_ml_on_enumerated_observations():
             s = v
         assert states == [int(z) for z in ss[b]]
         assert s == int(s_end[b])
-        expect = _brute_force_ml(scheme, pairs, states)
+        expect = _brute_force_ml(scheme, states, [v * ch.n_outputs + y for v, y in pairs])
         assert int(decoded[b]) == expect
 
 
-def test_chunked_decode_matches_eager(monkeypatch):
-    ch = make_random_channel(6)
-    cfg = SchemeConfig(rate=0.3 * fsmc.capacity(ch).C, gamma=0.5, n=12,
-                       seed=5, trials=64)
-    scheme_eager = fsmc.build_scheme(ch, cfg)
-    rep_eager = fsmc.simulate(scheme_eager)
-    monkeypatch.setattr(yi, "_E_ENTRY_BUDGET", 1)     # force chunked path
-    scheme_chunk = fsmc.build_scheme(ch, cfg)
-    rep_chunk = fsmc.simulate(scheme_chunk)
-    assert rep_eager.to_json_dict() == rep_chunk.to_json_dict()
+BLOCKS = (1, 2, 7, 256, None)                        # None: one block holds all
+
+
+def _decode_in_blocks(monkeypatch, scheme, ss, obs, hint, m_blk, t_blk):
+    """yi._decode with message blocks of m_blk codewords and trial blocks of
+    t_blk trials (the trial block follows from _SCORE_BLOCK)."""
+    w_total, k = scheme.codebook.shape[0], ss.shape[1] * scheme._S * scheme._X
+    m = w_total if m_blk is None else m_blk
+    t = ss.shape[0] if t_blk is None else t_blk
+    with monkeypatch.context() as mp:
+        mp.setattr(yi, "_MESSAGE_BLOCK", m)
+        mp.setattr(yi, "_SCORE_BLOCK", t * max(min(m, w_total), k))
+        return yi._decode(scheme, ss, obs, hint).tolist()
+
+
+def _sampled_inputs(monkeypatch, scheme, trials, seed):
+    """(ss, obs, sent) that _phase1_batch hands the decoder for one batch."""
+    seen = []
+    decode = yi._decode
+
+    def spy(scheme_, *args):
+        seen.append(args)
+        return decode(scheme_, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(yi, "_decode", spy)
+        gen = frng.stream(seed, 77)
+        cfg = scheme.config
+        w = gen.integers(cfg.message_count, size=trials)
+        s0 = gen.integers(scheme._S, size=trials)
+        yi._phase1_batch(scheme, w, s0, gen.random((trials, cfg.n_hat)))
+    return seen[0]
+
+
+def _tie_rich_bsc(gen, trials):
+    """BSC(0.1) with six data uses and all 64 binary words plus 20 repeats in
+    a random order: every observation has many equal-likelihood codewords."""
+    scheme = _bsc_scheme(n=10, rate=0.05, gamma=0.6)
+    n_hat = scheme.config.n_hat
+    words = np.array([[(v >> t) & 1 for t in range(n_hat)] for v in range(64)])
+    words = np.concatenate([words, words[gen.integers(64, size=20)]])
+    scheme._codebook = words[gen.permutation(len(words))].astype(np.int8)[:, :, None]
+    ss = np.zeros((trials, n_hat), dtype=np.int64)
+    obs = gen.integers(2, size=(trials, n_hat))
+    return scheme, ss, obs, gen.integers(len(words), size=trials)
+
+
+def test_decode_does_not_depend_on_block_size(monkeypatch):
+    """Every combination of message and trial blocks decodes exactly as the
+    pure-Python rule: on tie-rich BSC codebooks, on a random sparse ISI
+    channel and on Z, whose -1e18 cells (impossible transitions) never win."""
+    gen = np.random.default_rng(8)
+    sparse = _sparse_channel(0)
+    cases = [_tie_rich_bsc(gen, 40), _tie_rich_bsc(gen, 40)]
+    for ch, cfg in ((sparse, SchemeConfig(rate=0.05, gamma=0.8, n=60, seed=2)),
+                    (make_z(), SchemeConfig(rate=0.2, gamma=0.6, n=30, seed=3))):
+        scheme = fsmc.build_scheme(ch, cfg)
+        cases.append((scheme, *_sampled_inputs(monkeypatch, scheme, 40, cfg.seed)))
+    z_scheme = cases[-1][0]
+    assert z_scheme.codebook.shape[0] == 403 and (z_scheme._logk == -1e18).any()
+    for scheme, ss, obs, hint in cases:
+        want = [_brute_force_ml(scheme, st, oo) for st, oo in zip(ss.tolist(), obs.tolist())]
+        for m_blk in BLOCKS:
+            for t_blk in BLOCKS:
+                got = _decode_in_blocks(monkeypatch, scheme, ss, obs, hint, m_blk, t_blk)
+                assert got == want, (scheme.ch.n_states, m_blk, t_blk)
+        assert (yi._exact_scores(scheme, ss, obs, np.array(want)) > -1e17).all()
+
+
+def test_decode_ties_go_to_the_lowest_index(monkeypatch):
+    """Copies of the one best codeword on both sides of message-block
+    boundaries: the first copy wins, whichever copy seeds the screen."""
+    scheme = _bsc_scheme(n=10, rate=0.05, gamma=0.6)
+    gen = np.random.default_rng(3)
+    best = np.array([1, 0, 1, 1, 0, 0])
+    words = gen.integers(2, size=(16, 6))
+    words[(words == best).all(axis=1)] ^= 1          # no accidental copies
+    words[[5, 9, 13]] = best
+    scheme._codebook = words.astype(np.int8)[:, :, None]
+    ss = np.zeros((3, 6), dtype=np.int64)
+    obs = np.tile(best, (3, 1))
+    hint = np.array([13, 9, 0])
+    for m_blk in BLOCKS:
+        for t_blk in BLOCKS:
+            got = _decode_in_blocks(monkeypatch, scheme, ss, obs, hint, m_blk, t_blk)
+            assert got == [5, 5, 5], (m_blk, t_blk)
+
+
+def test_simulate_memory_does_not_grow_with_trials():
+    """The decoder works in fixed blocks: at 65536 messages simulate's traced
+    peak is a few MB at 100 and at 1000 trials, apart by one score block
+    (at most 4 MB, filled to 100 of its 256 rows at 100 trials) and a few KB
+    of uniforms and paths per trial.  One trials x messages float64 score
+    matrix alone would take 0.5 GB at 1000 trials."""
+    ch = make_bsc(0.1)
+    cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
+    peaks = []
+    for trials in (100, 1000):
+        cfg = SchemeConfig(rate=0.18, gamma=0.6, n=80, trials=trials, seed=3)
+        scheme = fsmc.build_scheme(ch, cfg, cap, exp)
+        assert scheme.codebook.shape[0] == 65536     # drawn before tracing
+        tracemalloc.start()
+        try:
+            fsmc.simulate(scheme)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 6.0, peaks
+    assert max(peaks) < 32.0, peaks
 
 
 # ---------------------------------------------------------------------------
