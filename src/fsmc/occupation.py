@@ -306,28 +306,29 @@ def simulate_trajectory(ch, policy, grid: ControlGrid, n: int, seed: int,
     init_cdf, init_last = (a.tolist() for a in _rng.inverse_cdf(ch.initial_dist))
     gen = _rng.stream(seed, substream)
     u01 = gen.random(2 * n + 1).tolist()
-    counts = np.zeros((S, len(grid)), dtype=np.int64)
-    input_cdf_cache = {}
+    K = len(grid)
+    counts = [0] * (S * K)                   # visits to (s, k) at s * K + k
+    seen = {}                                # id(u) -> (u, k, cdf, last); u keeps its id taken
     states = [min(bisect_right(init_cdf, u01[0]), init_last)]
     outputs = []
     for t in range(n):
         u = policy(states, outputs)
-        k = grid.index_of(u)
-        if k is None:
-            if not snap:
-                raise ChannelError(f"policy output at step {t} is not a grid point")
-            k = grid.nearest(u)
+        hit = seen.get(id(u))
+        if hit is None:
+            k = grid.index_of(u)
+            if k is None:
+                if not snap:
+                    raise ChannelError(f"policy output at step {t} is not a grid point")
+                k = grid.nearest(u)
+            hit = seen[id(u)] = (u, k, *(a.tolist() for a in _rng.inverse_cdf(u.weights)))
+        _, k, cdf, last = hit
         s = states[-1]
-        counts[s, k] += 1
-        cached = input_cdf_cache.get(u.key())
-        if cached is None:
-            cached = tuple(a.tolist() for a in _rng.inverse_cdf(u.weights))
-            input_cdf_cache[u.key()] = cached
-        cdf, last = cached
+        counts[s * K + k] += 1
         x = min(bisect_right(cdf, u01[2 * t + 1]), last)
         flat = min(bisect_right(pair_cdf[s][x], u01[2 * t + 2]), pair_last[s][x])
         states.append(flat // Y)
         outputs.append(flat % Y)
+    counts = np.array(counts, dtype=np.int64).reshape(S, K)
     return EmpiricalMeasure(grid, counts, n, snapped=snap)
 
 

@@ -61,10 +61,10 @@ def _mulhilo(m: int, x: np.ndarray):
     return x_hi * m_hi + (lh >> _SH32) + (cross >> _SH32), x * np.uint64(m)
 
 
-def _philox_words(seed: int, keys: np.ndarray, first_block: int, n_blocks: int) -> np.ndarray:
-    """(len(keys), 4 n_blocks) words of blocks first_block, ... keyed by (seed, keys[i])."""
-    c0 = np.broadcast_to(np.arange(first_block + 1, first_block + 1 + n_blocks,
-                                   dtype=np.uint64), (keys.size, n_blocks))
+def _philox_words(seed: int, keys: np.ndarray, first: np.ndarray, n_blocks: int) -> np.ndarray:
+    """(len(keys), 4 n_blocks) words of blocks first[i], first[i] + 1, ... keyed
+    by (seed, keys[i])."""
+    c0 = first.astype(np.uint64)[:, None] + np.arange(1, n_blocks + 1, dtype=np.uint64)
     c1 = c2 = c3 = np.zeros_like(c0)
     k0, k1 = seed, keys[:, None]
     for r in range(10):
@@ -76,19 +76,24 @@ def _philox_words(seed: int, keys: np.ndarray, first_block: int, n_blocks: int) 
     return np.stack((c0, c1, c2, c3), axis=2).reshape(keys.size, 4 * n_blocks)
 
 
-def uniforms(seed: int, substreams, offset: int, count: int) -> np.ndarray:
+def uniforms(seed: int, substreams, offset, count: int) -> np.ndarray:
     """(len(substreams), count) array whose row i is what
-    stream(seed, substreams[i]).random(count) returns after `offset` earlier
-    draws.  substreams is an integer array; negative ids wrap mod 2^64."""
+    stream(seed, substreams[i]).random(count) returns after offset[i] earlier
+    draws.  substreams is an integer array; negative ids wrap mod 2^64.
+    offset is one non-negative integer for all rows or an array of one per row."""
     keys = np.asarray(substreams).astype(np.uint64).ravel()
     out = np.empty((keys.size, count))
     if keys.size == 0 or count == 0:
         return out
-    first = offset // 4
-    n_blocks = (offset + count - 1) // 4 - first + 1
-    skip = offset - 4 * first
+    first, skip = np.divmod(np.broadcast_to(np.asarray(offset, dtype=np.int64), keys.shape), 4)
+    lo, hi = int(skip.min()), int(skip.max())
+    n_blocks = (hi + count - 1) // 4 + 1
+    # row i's words within its blocks: one slice when every row skips alike
+    cols = skip[:, None] + np.arange(count) if lo < hi else slice(lo, lo + count)
     rows = max(1, _CHUNK_BLOCKS // n_blocks)
-    for lo in range(0, keys.size, rows):
-        words = _philox_words(seed & _MASK64, keys[lo:lo + rows], first, n_blocks)
-        out[lo:lo + rows] = (words[:, skip:skip + count] >> np.uint64(11)) * 2.0 ** -53
+    for i in range(0, keys.size, rows):
+        part = slice(i, i + rows)
+        words = _philox_words(seed & _MASK64, keys[part], first[part], n_blocks)
+        words = words[:, cols] if lo == hi else np.take_along_axis(words, cols[part], axis=1)
+        out[part] = (words >> np.uint64(11)) * 2.0 ** -53
     return out

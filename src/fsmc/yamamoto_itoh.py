@@ -12,10 +12,12 @@ the sphere-packing bound.
 
 All randomness is drawn from per-trial Philox substreams (seed, trial):
 trial t reads stream offsets 0-1 (message, initial state) and offsets
-[2 + e n, 2 + (e+1) n) in epoch e.  simulate reads those windows by counter
-for all active trials at once and keeps trials as rows of arrays; the data
-phase decodes by a rule that no block size or batch shape can change
-(_decode), so a report never depends on how work is scheduled.
+[2 + e n, 2 + (e+1) n) in epoch e.  simulate steps a fixed pool of at most
+_POOL trials as rows of arrays, admitting trial ids in order as others stop,
+and reads each row's window by counter; the data phase decodes by a rule
+that no block size or batch shape can change (_decode), so a report never
+depends on how work is scheduled, and memory is set by _POOL and the decode
+block constants plus 16 bytes a trial-epoch (see simulate).
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ MESSAGE_CAP = 1 << 16
 _CODEBOOK_CHUNK = 4096            # codewords drawn per block (fixed: determinism)
 _MESSAGE_BLOCK = 4096             # codewords per one-hot block of the decode screen
 _SCORE_BLOCK = 1 << 20            # float32 entries per score and per-use block
+_POOL = 1 << 12                   # trials simulate steps at once: its working set
 
 
 def _message_count(n: int, rate: float) -> int:
@@ -379,49 +382,79 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
     """Run config.trials independent transmissions of uniform random messages.
 
     trace_sink, if given, receives (trial_index, EpochTrace) for every epoch,
-    ordered by (trial, epoch).  jobs is accepted and ignored: all trials run
-    as rows of one array under a decode rule that no block or batch shape
-    can change, so results never depend on it.
+    ordered by (trial, epoch).  jobs is accepted and ignored: results never
+    depend on how trials are batched, so there is nothing to schedule.
+
+    Trials run in a pool of at most _POOL rows, one epoch per step; trials
+    that stop leave it and the next trial ids take their rows, so the working
+    set (uniform windows, paths, decode blocks) is set by _POOL, not by the
+    trial count.  A row's uniforms are read by counter from its own
+    (seed, trial) stream, and the data phase decodes by a rule that no batch
+    shape can change (_decode), so every trial draws and decides the same
+    whichever rows it shares a step with.  Counts are summed as integers per
+    step and epochs used kept as a histogram.  All that grows with the trial
+    count is the trial id and LLR of each trial-epoch (16 bytes, and 32 more
+    while they are sorted at the end), kept so that the mean LLRs are summed
+    in (trial, epoch) order; with a trace_sink the trace columns are kept
+    as well.
     """
     cfg = scheme.config
     b, n, n_hat, w_total = cfg.trials, cfg.n, cfg.n_hat, cfg.message_count
-    idx = np.arange(b)
-    u = _rng.uniforms(cfg.seed, idx, 0, 2 + n)      # message, initial state, epoch 0
-    w = np.minimum((u[:, 0] * w_total).astype(np.int64), w_total - 1)
-    s = _draw_initial(scheme, u[:, 1])
-    u = u[:, 2:]
-    epochs_used = np.full(b, cfg.max_epochs)
-    cols = []                                        # per epoch: trial, epoch, outcomes
-    for epoch in range(cfg.max_epochs):
-        if epoch:
-            u = _rng.uniforms(cfg.seed, idx, 2 + epoch * n, n)
-        decoded, s_mid, _ = _phase1_batch(scheme, w[idx], s, u[:, :n_hat])
-        sent = (decoded != w[idx]).astype(np.int64)
-        decided, s_end, llr = _phase2_batch(scheme, sent, s_mid, u[:, n_hat:])
-        cols.append((idx, np.full(idx.size, epoch), decoded, sent, decided, llr))
-        going = decided != 0
-        epochs_used[idx[~going]] = epoch + 1
-        idx, s = idx[going], s_end[going]
-        if idx.size == 0:
-            break
-    trial, epoch, decoded, sent, decided, llr = map(np.concatenate, zip(*cols))
-    order = np.argsort(trial, kind="stable")         # epoch-major -> (trial, epoch)
+    cap = min(_POOL, b)
+    ids, w, s, epoch = (np.empty(cap, dtype=np.int64) for _ in range(4))
+    hist = np.zeros(cfg.max_epochs + 1, dtype=np.int64)     # trials by epochs used
+    outcomes = np.zeros(4, dtype=np.int64)     # epochs by (sent, decided) bits
+    aborted = 0
+    kept = ([], [])                  # per sent bit, per step: (trial ids, llr)
+    traced = []
+    live = admitted = 0
+    while live or admitted < b:
+        k = min(cap - live, b - admitted)
+        new = slice(live, live + k)  # free rows take the next trial ids
+        ids[new] = np.arange(admitted, admitted + k)
+        epoch[new] = 0
+        live, admitted = live + k, admitted + k
+        pool = slice(0, live)
+        # row i reads offsets [e n, e n + 2 + n): epoch e's n uniforms come
+        # last, after the message and initial state (used at e = 0 only)
+        u = _rng.uniforms(cfg.seed, ids[pool], epoch[pool] * n, 2 + n)
+        w[new] = np.minimum((u[new, 0] * w_total).astype(np.int64), w_total - 1)
+        s[new] = _draw_initial(scheme, u[new, 1])
+        decoded, s_mid, _ = _phase1_batch(scheme, w[pool], s[pool], u[:, 2:2 + n_hat])
+        sent = (decoded != w[pool]).astype(np.int64)
+        decided, s_end, llr = _phase2_batch(scheme, sent, s_mid, u[:, 2 + n_hat:])
+        outcomes += np.bincount(2 * sent + decided, minlength=4)
+        for bit, parts in enumerate(kept):
+            mine = sent == bit
+            parts.append((ids[pool][mine], llr[mine]))
+        if trace_sink is not None:
+            traced.append((ids[pool].copy(), epoch[pool].copy(), decoded, sent, decided, llr))
+        epoch[pool] += 1
+        going = (decided != 0) & (epoch[pool] < cfg.max_epochs)
+        hist += np.bincount(epoch[pool][~going], minlength=hist.size)
+        aborted += int((decided[~going] != 0).sum())
+        live = int(going.sum())      # keep the survivors in order, at the front
+        for a, v in ((ids, ids[pool]), (w, w[pool]), (s, s_end), (epoch, epoch[pool])):
+            a[:live] = v[going]
     if trace_sink is not None:
-        rows = (a[order].tolist() for a in (trial, epoch, decoded, sent, decided, llr))
+        cols = tuple(map(np.concatenate, zip(*traced)))
+        order = np.argsort(cols[0], kind="stable")   # step-major -> (trial, epoch)
+        rows = (a[order].tolist() for a in cols)
         for t, e, d, x, y, v in zip(*rows):
             trace_sink(t, EpochTrace(e, d, x == 0, x, y, v))
-    ph1_decodes = trial.size
-    ph1_errors = int(sent.sum())
-    ack_sends = ph1_decodes - ph1_errors
-    ack_denied = int(((sent == 0) & (decided == 1)).sum())
-    deny_acked = int(((sent == 1) & (decided == 0)).sum())
-    # per-symbol LLRs in (trial, epoch) order, so the float sums keep that order
-    per_symbol = llr[order] / (cfg.n_tilde - 1)
-    llr_h0 = per_symbol[sent[order] == 0]
-    llr_h1 = per_symbol[sent[order] == 1]
-    aborted = idx.size
+    # per-symbol LLR means in (trial, epoch) order, so the float sums keep that order
+    llr_means = []
+    for parts in kept:
+        trial, llr = map(np.concatenate, zip(*parts))
+        parts.clear()
+        per_symbol = llr[np.argsort(trial, kind="stable")]
+        per_symbol /= cfg.n_tilde - 1
+        llr_means.append(float(np.mean(per_symbol)) if per_symbol.size else None)
+    ack_taken, ack_denied, deny_acked, deny_denied = outcomes.tolist()
+    ack_sends, ph1_errors = ack_taken + ack_denied, deny_acked + deny_denied
+    decodes = ack_sends + ph1_errors
     errors = deny_acked + aborted                    # a wrong message confirmed, or none
-    mean_epochs = float(epochs_used.mean())
+    mean_epochs = int(hist @ np.arange(hist.size)) / b
     mean_t = n * mean_epochs
     return SimReport(
         trials=b,
@@ -431,20 +464,21 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
         error_count=errors,
         p_e_hat=errors / b,
         p_e_ci=_wilson_ci(errors, b),
-        phase1_error_rate=(ph1_errors / ph1_decodes) if ph1_decodes else None,
+        phase1_error_rate=(ph1_errors / decodes) if decodes else None,
         phase2_type0_rate=(ack_denied / ack_sends) if ack_sends else None,
         phase2_type1_rate=(deny_acked / ph1_errors) if ph1_errors else None,
-        mean_llr_per_symbol_h0=float(np.mean(llr_h0)) if llr_h0.size else None,
-        mean_llr_per_symbol_h1=float(np.mean(llr_h1)) if llr_h1.size else None,
+        mean_llr_per_symbol_h0=llr_means[0],
+        mean_llr_per_symbol_h1=llr_means[1],
         aborted_trials=aborted,
-        bound_checks=_bound_checks(b, errors, epochs_used, ph1_decodes, ph1_errors,
+        bound_checks=_bound_checks(b, errors, hist, decodes, ph1_errors,
                                    ack_sends, ack_denied, ph1_errors, deny_acked),
     )
 
 
-def _bound_checks(trials, errors, epochs_used, ph1_decodes, ph1_errors,
+def _bound_checks(trials, errors, epochs_hist, ph1_decodes, ph1_errors,
                   ack_sends, ack_denied, deny_sends, deny_acked) -> dict:
-    """Empirical sanity bounds: error probability and epoch-count tail."""
+    """Empirical sanity bounds: error probability and epoch-count tail.
+    epochs_hist[k] counts the trials that used k epochs."""
 
     def se(p, n):
         return math.sqrt(max(p * (1.0 - p), 0.0) / n) if n else 0.0
@@ -478,7 +512,7 @@ def _bound_checks(trials, errors, epochs_used, ph1_decodes, ph1_errors,
     if p_hat is not None and p0_hat is not None:
         repeat = p_hat + p0_hat                      # union bound on a repeat event
         for k in (2, 3, 4):
-            lhs = float((epochs_used >= k).mean())
+            lhs = int(epochs_hist[k:].sum()) / trials
             rhs = repeat ** (k - 1)
             se_lhs = se(lhs, trials)
             se_rep = math.sqrt(se(p_hat, ph1_decodes) ** 2 + se(p0_hat, ack_sends) ** 2)

@@ -54,6 +54,44 @@ def test_rows_straddling_the_chunk_size(monkeypatch):
         assert np.array_equal(row, _sequential(3, int(k), 6, 11))
 
 
+# -- per-row offsets --------------------------------------------------------
+
+ROW_IDS = np.array([11, 0, 5, 3, 2, 40, 9, 1, 7], dtype=np.int64)
+ROW_OFFSETS = (
+    np.arange(9) + 10,                   # every residue mod 4, side by side
+    2 + np.arange(9) * 7,                # epoch windows 2 + e n at odd n
+    2 + np.arange(9) % 3 * 20,           # epoch windows at n = 20: one residue
+    np.array([0, 0, 22, 2, 0, 42, 62, 0, 2]),   # first windows beside later ones
+)
+
+
+@pytest.mark.parametrize("offsets", ROW_OFFSETS)
+@pytest.mark.parametrize("count", range(1, 10))
+def test_per_row_offsets_match_stream(offsets, count):
+    got = frng.uniforms(5, ROW_IDS, offsets, count)
+    assert got.shape == (ROW_IDS.size, count)
+    for row, k, off in zip(got, ROW_IDS.tolist(), offsets.tolist()):
+        assert np.array_equal(row, _sequential(5, k, off, count)), (k, off, count)
+
+
+@pytest.mark.parametrize("offsets", ROW_OFFSETS)
+def test_per_row_offsets_straddling_the_chunk_size(monkeypatch, offsets):
+    """Passes of rows with different skips change no row."""
+    whole = frng.uniforms(3, ROW_IDS, offsets, 7)
+    monkeypatch.setattr(frng, "_CHUNK_BLOCKS", 7)       # 3 blocks a row: 2 rows a pass
+    assert np.array_equal(frng.uniforms(3, ROW_IDS, offsets, 7), whole)
+    for row, k, off in zip(whole, ROW_IDS.tolist(), offsets.tolist()):
+        assert np.array_equal(row, _sequential(3, k, off, 7))
+
+
+@pytest.mark.parametrize("offset", range(6))
+def test_scalar_offset_is_one_offset_per_row(offset):
+    scalar = frng.uniforms(1, ROW_IDS, offset, 9)
+    assert np.array_equal(scalar, frng.uniforms(1, ROW_IDS, np.full(ROW_IDS.size, offset), 9))
+    for row, k in zip(scalar, ROW_IDS.tolist()):
+        assert np.array_equal(row, _sequential(1, k, offset, 9))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(min_value=-(1 << 63), max_value=MASK64),
        ids=st.lists(st.integers(min_value=0, max_value=MASK64), max_size=5),

@@ -3,12 +3,14 @@
 The oracle is the straightforward loop: one numpy Philox generator per
 trial, 2 uniforms up front, then n per epoch, an EpochTrace per epoch and
 the report reduced from the sorted trace list.  Each epoch decodes all
-active trials in one batch, as simulate does, so likelihood ties resolve
-the same way and reports must agree exactly.
+active trials in one batch, where simulate steps a pool of trials that are
+at different epochs; the decode rule does not depend on batch shape, so
+reports must agree exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,6 +66,7 @@ def oracle_simulate(scheme):
     errors = int(((final_decoded != w) | active).sum())
     mean_epochs = float(epochs_used.mean())
     mean_t = cfg.n * mean_epochs
+    epochs_hist = np.bincount(epochs_used, minlength=cfg.max_epochs + 1)
     report = yi.SimReport(
         trials=b, mean_epochs=mean_epochs, mean_T=mean_t,
         empirical_rate=math.log(w_total) / mean_t,
@@ -74,7 +77,7 @@ def oracle_simulate(scheme):
         mean_llr_per_symbol_h0=float(np.mean(llr_h0)) if llr_h0 else None,
         mean_llr_per_symbol_h1=float(np.mean(llr_h1)) if llr_h1 else None,
         aborted_trials=int(active.sum()),
-        bound_checks=yi._bound_checks(b, errors, epochs_used, decodes, ph1_errors,
+        bound_checks=yi._bound_checks(b, errors, epochs_hist, decodes, ph1_errors,
                                       ack_sends, ack_denied, deny_sends, deny_acked))
     return report, traces
 
@@ -134,3 +137,65 @@ def test_some_aborts_match_oracle():
     scheme = _random_scheme(2, 1000, confirm_threshold=0.0, max_epochs=2)
     rep = _assert_same(scheme)
     assert 0 < rep.aborted_trials < 1000
+
+
+# -- the trial pool ---------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _sparse_isi_channel(seed):
+    """(channel, capacity, exponent) of a random channel with zero cells and
+    ISI.  Both inputs share each state's support, so every divergence is
+    finite, and the support holds the cycle s -> s+1 (mod S), so every chain
+    is irreducible (periodic when the cycle is all it holds); random weights
+    on it make the next state depend on the input."""
+    gen = np.random.default_rng([seed, 7])
+    S, Y = 2 + seed % 3, 2 + seed % 2
+    support = gen.random((S, 1, S, Y)) < 0.4
+    support[np.arange(S), :, (np.arange(S) + 1) % S] = True
+    k = (gen.random((S, 2, S, Y)) + 0.05) * support
+    k /= k.sum(axis=(2, 3), keepdims=True)
+    lab = lambda pre, m: tuple(f"{pre}{i}" for i in range(m))
+    ch = fsmc.channel_from_arrays(lab("s", S), lab("x", 2), lab("y", Y), k, np.full(S, 1.0 / S))
+    return ch, fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
+
+
+def _sparse_isi_scheme(seed, trials, n=12, **kw):
+    ch, cap, exp = _sparse_isi_channel(seed)
+    cfg = SchemeConfig(rate=0.5 * cap.C, gamma=0.6, n=n, trials=trials, seed=seed, **kw)
+    return fsmc.build_scheme(ch, cfg, cap, exp)
+
+
+POOL_TRIALS = [(1, 1), (1, 3), (2, 1), (2, 5), (7, 6), (7, 7), (7, 8), (7, 40)]
+
+
+@pytest.mark.parametrize("pool,trials", POOL_TRIALS)
+def test_pool_on_sparse_isi_channels(monkeypatch, pool, trials):
+    monkeypatch.setattr(yi, "_POOL", pool)
+    for seed in range(3):
+        _assert_same(_sparse_isi_scheme(seed, trials))
+
+
+@pytest.mark.parametrize("pool,trials", POOL_TRIALS)
+def test_pool_on_zero_error_channel(monkeypatch, pool, trials):
+    monkeypatch.setattr(yi, "_POOL", pool)
+    scheme = fsmc.build_scheme(make_z(), SchemeConfig(rate=0.15, gamma=0.6, n=20,
+                                                      trials=trials, seed=3))
+    _assert_same(scheme)
+
+
+@pytest.mark.parametrize("pool,trials", POOL_TRIALS)
+def test_pool_with_forced_aborts(monkeypatch, pool, trials):
+    """Every trial holds its row for max_epochs steps."""
+    monkeypatch.setattr(yi, "_POOL", pool)
+    rep = _assert_same(_sparse_isi_scheme(1, trials, confirm_threshold=50.0, max_epochs=3))
+    assert rep.aborted_trials == trials
+
+
+@pytest.mark.parametrize("pool,trials", POOL_TRIALS)
+def test_pool_at_odd_n(monkeypatch, pool, trials):
+    """At odd n the epoch windows 2 + e n fall on every residue mod 4, so one
+    step reads rows at different positions within their Philox blocks."""
+    monkeypatch.setattr(yi, "_POOL", pool)
+    for seed in range(2):
+        _assert_same(_sparse_isi_scheme(seed, trials, n=13, confirm_threshold=0.0,
+                                        max_epochs=5))

@@ -270,9 +270,9 @@ def test_decode_ties_go_to_the_lowest_index(monkeypatch):
 def test_simulate_memory_does_not_grow_with_trials():
     """The decoder works in fixed blocks: at 65536 messages simulate's traced
     peak is a few MB at 100 and at 1000 trials, apart by one score block
-    (at most 4 MB, filled to 100 of its 256 rows at 100 trials) and a few KB
-    of uniforms and paths per trial.  One trials x messages float64 score
-    matrix alone would take 0.5 GB at 1000 trials."""
+    (at most 4 MB, filled to 100 of its 256 rows at 100 trials) and the
+    pool's uniforms and paths.  One trials x messages float64 score matrix
+    alone would take 0.5 GB at 1000 trials."""
     ch = make_bsc(0.1)
     cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
     peaks = []
@@ -288,6 +288,28 @@ def test_simulate_memory_does_not_grow_with_trials():
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 6.0, peaks
     assert max(peaks) < 32.0, peaks
+
+
+def test_simulate_memory_per_trial_is_small():
+    """Trials run in a fixed pool, so past it simulate keeps only the trial id
+    and LLR of each trial-epoch (16 bytes, about 1.2 epochs a trial here) and
+    their sort at the end.  Holding every trial as a row grew about 600 bytes
+    a trial on this example."""
+    ch = fsmc.make_example(fsmc.gamma_params(0.5))
+    cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
+    counts, peaks = (20_000, 200_000), []
+    for trials in counts:
+        cfg = SchemeConfig(rate=0.15, gamma=0.6, n=20, trials=trials, seed=3)
+        scheme = fsmc.build_scheme(ch, cfg, cap, exp)
+        scheme.codebook                              # drawn before tracing
+        tracemalloc.start()
+        try:
+            fsmc.simulate(scheme)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_trial = (peaks[1] - peaks[0]) / (counts[1] - counts[0])
+    assert per_trial < 100.0, (peaks, per_trial)
 
 
 # ---------------------------------------------------------------------------
