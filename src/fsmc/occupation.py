@@ -308,19 +308,25 @@ def simulate_trajectory(ch, policy, grid: ControlGrid, n: int, seed: int,
     u01 = gen.random(2 * n + 1).tolist()
     K = len(grid)
     counts = [0] * (S * K)                   # visits to (s, k) at s * K + k
-    seen = {}                                # id(u) -> (u, k, cdf, last); u keeps its id taken
+    by_key = {}                              # u.key() -> (k, cdf, last)
+    by_id = {}                               # id(u) -> (u, k, cdf, last); u keeps its id taken
     states = [min(bisect_right(init_cdf, u01[0]), init_last)]
     outputs = []
     for t in range(n):
         u = policy(states, outputs)
-        hit = seen.get(id(u))
+        hit = by_id.get(id(u))
         if hit is None:
-            k = grid.index_of(u)
-            if k is None:
-                if not snap:
-                    raise ChannelError(f"policy output at step {t} is not a grid point")
-                k = grid.nearest(u)
-            hit = seen[id(u)] = (u, k, *(a.tolist() for a in _rng.inverse_cdf(u.weights)))
+            found = by_key.get(u.key())
+            if found is None:
+                k = grid.index_of(u)
+                if k is None:
+                    if not snap:
+                        raise ChannelError(f"policy output at step {t} is not a grid point")
+                    k = grid.nearest(u)
+                found = by_key[u.key()] = (k, *(a.tolist() for a in _rng.inverse_cdf(u.weights)))
+            hit = (u, *found)
+            if len(by_id) < K:               # a policy of fresh objects fills this once
+                by_id[id(u)] = hit
         _, k, cdf, last = hit
         s = states[-1]
         counts[s * K + k] += 1

@@ -86,14 +86,14 @@ def uniforms(seed: int, substreams, offset, count: int) -> np.ndarray:
     if keys.size == 0 or count == 0:
         return out
     first, skip = np.divmod(np.broadcast_to(np.asarray(offset, dtype=np.int64), keys.shape), 4)
-    lo, hi = int(skip.min()), int(skip.max())
-    n_blocks = (hi + count - 1) // 4 + 1
-    # row i's words within its blocks: one slice when every row skips alike
-    cols = skip[:, None] + np.arange(count) if lo < hi else slice(lo, lo + count)
+    n_blocks = (int(skip.max()) + count - 1) // 4 + 1
     rows = max(1, _CHUNK_BLOCKS // n_blocks)
     for i in range(0, keys.size, rows):
         part = slice(i, i + rows)
         words = _philox_words(seed & _MASK64, keys[part], first[part], n_blocks)
-        words = words[:, cols] if lo == hi else np.take_along_axis(words, cols[part], axis=1)
-        out[part] = (words >> np.uint64(11)) * 2.0 ** -53
+        # flat indices of the count words each row reads, skip words into its blocks
+        at = (skip[part] + np.arange(0, words.size, words.shape[1]))[:, None] + np.arange(count)
+        words = words.take(at)
+        words >>= np.uint64(11)
+        np.multiply(words, 2.0 ** -53, out=out[part])    # in place: spares two temporaries
     return out

@@ -17,7 +17,7 @@ _POOL trials as rows of arrays, admitting trial ids in order as others stop,
 and reads each row's window by counter; the data phase decodes by a rule
 that no block size or batch shape can change (_decode), so a report never
 depends on how work is scheduled, and memory is set by _POOL and the decode
-block constants plus 16 bytes a trial-epoch (see simulate).
+block constants plus 17 bytes a trial-epoch (see simulate).
 """
 from __future__ import annotations
 
@@ -393,10 +393,10 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
     shape can change (_decode), so every trial draws and decides the same
     whichever rows it shares a step with.  Counts are summed as integers per
     step and epochs used kept as a histogram.  All that grows with the trial
-    count is the trial id and LLR of each trial-epoch (16 bytes, and 32 more
-    while they are sorted at the end), kept so that the mean LLRs are summed
-    in (trial, epoch) order; with a trace_sink the trace columns are kept
-    as well.
+    count is the trial id, sent bit and LLR of each trial-epoch (17 bytes,
+    and about 34 more while they are sorted at the end), kept so that the
+    mean LLRs are summed in (trial, epoch) order; with a trace_sink the trace
+    columns are kept as well.
     """
     cfg = scheme.config
     b, n, n_hat, w_total = cfg.trials, cfg.n, cfg.n_hat, cfg.message_count
@@ -405,7 +405,7 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
     hist = np.zeros(cfg.max_epochs + 1, dtype=np.int64)     # trials by epochs used
     outcomes = np.zeros(4, dtype=np.int64)     # epochs by (sent, decided) bits
     aborted = 0
-    kept = ([], [])                  # per sent bit, per step: (trial ids, llr)
+    kept = []                        # per step: (trial ids, sent bits, llr)
     traced = []
     live = admitted = 0
     while live or admitted < b:
@@ -424,9 +424,7 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
         sent = (decoded != w[pool]).astype(np.int64)
         decided, s_end, llr = _phase2_batch(scheme, sent, s_mid, u[:, 2 + n_hat:])
         outcomes += np.bincount(2 * sent + decided, minlength=4)
-        for bit, parts in enumerate(kept):
-            mine = sent == bit
-            parts.append((ids[pool][mine], llr[mine]))
+        kept.append((ids[pool].copy(), sent.astype(np.int8), llr))
         if trace_sink is not None:
             traced.append((ids[pool].copy(), epoch[pool].copy(), decoded, sent, decided, llr))
         epoch[pool] += 1
@@ -443,13 +441,12 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
         for t, e, d, x, y, v in zip(*rows):
             trace_sink(t, EpochTrace(e, d, x == 0, x, y, v))
     # per-symbol LLR means in (trial, epoch) order, so the float sums keep that order
-    llr_means = []
-    for parts in kept:
-        trial, llr = map(np.concatenate, zip(*parts))
-        parts.clear()
-        per_symbol = llr[np.argsort(trial, kind="stable")]
-        per_symbol /= cfg.n_tilde - 1
-        llr_means.append(float(np.mean(per_symbol)) if per_symbol.size else None)
+    trial, sent, llr = map(np.concatenate, zip(*kept))
+    kept.clear()
+    order = np.argsort(trial, kind="stable")         # step-major -> (trial, epoch)
+    per_symbol = llr[order] / (cfg.n_tilde - 1)
+    llr_h0 = per_symbol[sent[order] == 0]
+    llr_h1 = per_symbol[sent[order] == 1]
     ack_taken, ack_denied, deny_acked, deny_denied = outcomes.tolist()
     ack_sends, ph1_errors = ack_taken + ack_denied, deny_acked + deny_denied
     decodes = ack_sends + ph1_errors
@@ -467,8 +464,8 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
         phase1_error_rate=(ph1_errors / decodes) if decodes else None,
         phase2_type0_rate=(ack_denied / ack_sends) if ack_sends else None,
         phase2_type1_rate=(deny_acked / ph1_errors) if ph1_errors else None,
-        mean_llr_per_symbol_h0=llr_means[0],
-        mean_llr_per_symbol_h1=llr_means[1],
+        mean_llr_per_symbol_h0=float(np.mean(llr_h0)) if llr_h0.size else None,
+        mean_llr_per_symbol_h1=float(np.mean(llr_h1)) if llr_h1.size else None,
         aborted_trials=aborted,
         bound_checks=_bound_checks(b, errors, hist, decodes, ph1_errors,
                                    ack_sends, ack_denied, ph1_errors, deny_acked),

@@ -203,6 +203,23 @@ def test_trajectory_history_dependent_policy():
     assert m.counts[:, 1].sum() > 0
 
 
+def test_trajectory_fresh_policy_objects_match_fixed_ones():
+    # a policy that builds a new InputDist on every call, more of them than the
+    # grid has points, steps exactly as one that returns the same objects
+    ch = make_random_channel(5, n_states=3)
+    fixed = [InputDist(np.array([0.3, 0.7])), InputDist(np.array([0.8, 0.2]))]
+    grid = ControlGrid.with_points(2, fixed)
+
+    def same(states, outputs):
+        return fixed[states[-1] % 2]
+
+    def fresh(states, outputs):
+        return InputDist(fixed[states[-1] % 2].weights.copy())
+
+    want = simulate_trajectory(ch, same, grid, 500, seed=1).counts
+    assert np.array_equal(simulate_trajectory(ch, fresh, grid, 500, seed=1).counts, want)
+
+
 # ---------------------------------------------------------------------------
 # concentration check
 

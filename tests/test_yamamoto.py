@@ -291,9 +291,9 @@ def test_simulate_memory_does_not_grow_with_trials():
 
 
 def test_simulate_memory_per_trial_is_small():
-    """Trials run in a fixed pool, so past it simulate keeps only the trial id
-    and LLR of each trial-epoch (16 bytes, about 1.2 epochs a trial here) and
-    their sort at the end.  Holding every trial as a row grew about 600 bytes
+    """Trials run in a fixed pool, so past it simulate keeps only the trial id,
+    sent bit and LLR of each trial-epoch (17 bytes, about 1.2 epochs a trial
+    here) and their sort at the end.  Holding every trial as a row grew about 600 bytes
     a trial on this example."""
     ch = fsmc.make_example(fsmc.gamma_params(0.5))
     cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
