@@ -16,6 +16,7 @@ import numpy as np
 ROW_SUM_TOL = 1e-9      # strict validation
 RENORM_TOL = 1e-6       # worst row-sum defect repairable via renormalize=True
 DIST_TOL = 1e-12        # probability vectors supplied by callers
+NO_ISI_TOL = 1e-12      # largest spread over inputs of P(s_next | s, x) without ISI
 
 
 class ChannelError(ValueError):
@@ -210,11 +211,11 @@ def s_marginal(ch: ChannelSpec) -> np.ndarray:
     return ch.kernel.sum(axis=3)
 
 
-def is_no_isi(ch: ChannelSpec, tol: float = 1e-12) -> bool:
+def is_no_isi(ch: ChannelSpec) -> bool:
     """True iff the next state is conditionally independent of the input."""
     ps = s_marginal(ch)
     spread = ps.max(axis=1) - ps.min(axis=1)   # over x, per (s, s_next)
-    return float(spread.max()) <= tol
+    return float(spread.max()) <= NO_ISI_TOL
 
 
 def achievable_pairs(ch: ChannelSpec):

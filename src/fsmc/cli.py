@@ -106,8 +106,7 @@ def cmd_validate(args) -> int:
 
 def cmd_capacity(args) -> int:
     ch = _load(args)
-    unit = LN2 if args.bits else 1.0
-    suffix = "bits" if args.bits else "nats"
+    unit, suffix = (LN2, "bits") if args.bits else (1.0, "nats")
     if args.grid:
         val = capacity_grid_oracle(ch, args.grid)
         _emit_json({f"C_oracle_{suffix}": val / unit, "resolution": args.grid})
@@ -124,8 +123,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_burnashev(args) -> int:
     ch = _load(args)
-    unit = LN2 if args.bits else 1.0
-    suffix = "bits" if args.bits else "nats"
+    unit, suffix = (LN2, "bits") if args.bits else (1.0, "nats")
     res = burnashev_coefficient(ch)
     witness = res.diagnostics.get("witness")
     if witness is not None:
@@ -147,8 +145,7 @@ def cmd_burnashev(args) -> int:
 
 def cmd_reliability(args) -> int:
     ch = _load(args)
-    unit = LN2 if args.bits else 1.0
-    suffix = "bits" if args.bits else "nats"
+    unit, suffix = (LN2, "bits") if args.bits else (1.0, "nats")
     res_c = capacity(ch)
     res_d = burnashev_coefficient(ch)
     curve = reliability_curve(res_c.C, res_d.D, args.points)

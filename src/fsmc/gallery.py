@@ -141,6 +141,8 @@ def sweep_gamma(p_g=DEFAULT_PG, p_b=DEFAULT_PB, alpha0=DEFAULT_ALPHA0,
     computed in order in one thread, which was faster than a thread pool on
     two cores.
     """
+    if not (math.isfinite(gamma_step) and gamma_step > 0.0):
+        raise ChannelError(f"gamma_step must be positive and finite, got {gamma_step}")
     steps = int(round(1.0 / gamma_step)) - 1
     if steps < 1:
         raise ChannelError("gamma_step too coarse")

@@ -64,14 +64,10 @@ class ControlGrid:
     def mesh(cls, n_inputs: int, resolution: int) -> "ControlGrid":
         """Lattice of denominators `resolution`, corners first."""
         import itertools
-        pts = [InputDist.point_mass(x, n_inputs) for x in range(n_inputs)]
-        for comb in itertools.product(range(resolution + 1), repeat=n_inputs):
-            if sum(comb) != resolution:
-                continue
-            w = np.array(comb, dtype=np.float64) / resolution
-            if all(float(np.max(np.abs(w - q.weights))) >= GRID_DUP_TOL for q in pts):
-                pts.append(InputDist(w))
-        return cls(tuple(pts))
+        return cls.with_points(n_inputs, (
+            np.array(comb, dtype=np.float64) / resolution
+            for comb in itertools.product(range(resolution + 1), repeat=n_inputs)
+            if sum(comb) == resolution))
 
     def __len__(self):
         return len(self.points)
@@ -132,6 +128,14 @@ def _grid_transition(ch, grid: ControlGrid) -> np.ndarray:
     return np.einsum("kx,jxs->jks", grid.matrix(), s_marginal(ch))
 
 
+def _balance(ch, grid: ControlGrid, w: np.ndarray) -> np.ndarray:
+    """F of each occupation measure in w (..., S, K); asserts its components sum to 0."""
+    f = w.sum(axis=-1) - np.einsum("...jk,jks->...s", w, _grid_transition(ch, grid))
+    if np.any(np.abs(f.sum(axis=-1)) > 1e-12):
+        raise ChannelError("balance components must sum to zero")
+    return f
+
+
 def f_functional(ch, measure) -> np.ndarray:
     """Stationarity defect F_s(eta) = eta(s, .) - sum_{j,k} Q(s|j,u_k) eta(j,k).
 
@@ -144,11 +148,7 @@ def f_functional(ch, measure) -> np.ndarray:
         w = measure.frequencies()
     else:
         raise ChannelError("measure must be OccupationMeasure or EmpiricalMeasure")
-    t = _grid_transition(ch, measure.grid)
-    f = w.sum(axis=1) - np.einsum("jk,jks->s", w, t)
-    if abs(float(f.sum())) > 1e-12:
-        raise ChannelError("balance components must sum to zero")
-    return f
+    return _balance(ch, measure.grid, w)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +349,11 @@ def _stationary_grid_map(policy, grid: ControlGrid):
     return np.asarray(idxs, dtype=np.int64)
 
 
-def _azuma_batch(ch, state_to_k, grid, n, eps, trials, seed) -> int:
-    """Vectorized violation count for stationary-on-grid controls.
+def _stationary_counts(ch, state_to_k, grid, n, trials, seed) -> np.ndarray:
+    """(trials, S, K) visit counts for stationary-on-grid controls, vectorized.
 
-    Reproduces the scalar trajectory sampler exactly: per-trial substreams,
-    2n+1 uniforms per trial, the same inverse-CDF rule.
+    Reproduces simulate_trajectory exactly: per-trial substreams, 2n+1
+    uniforms per trial, the same inverse-CDF rule.
     """
     S, Y, K = ch.n_states, ch.n_outputs, len(grid)
     in_cdf, in_last = _rng.inverse_cdf(grid.matrix())                 # (K, X), (K,)
@@ -369,10 +369,7 @@ def _azuma_batch(ch, state_to_k, grid, n, eps, trials, seed) -> int:
         np.add.at(counts, (rows, s, k), 1)
         x = _rng.draw(in_cdf[k], in_last[k], u[:, 2 * t + 1])
         s = _rng.draw(pair_cdf[s, x], pair_last[s, x], u[:, 2 * t + 2]) // Y
-    w = counts / float(n)
-    t_mat = _grid_transition(ch, grid)
-    f = w.sum(axis=2) - np.einsum("bjk,jks->bs", w, t_mat)
-    return int((np.abs(f).max(axis=1) >= eps + 1.0 / n).sum())
+    return counts
 
 
 def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
@@ -381,25 +378,26 @@ def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
 
     Counts trajectories with ||F(empirical)||_inf >= eps + 1/n and compares
     the frequency against 2|S| exp(-n eps^2 / 2) plus three binomial standard
-    errors.  Requires trials >= 100.  Trial k reads substream k of seed.  jobs
-    is accepted and ignored: trials run in one thread, since the
-    history-dependent path holds the interpreter lock and threads bought
-    nothing.
+    errors.  Requires trials >= 100.  Trial k reads substream k of seed; F is
+    taken once over every trial's counts.  jobs is accepted and ignored:
+    trials run in one thread, since the history-dependent path holds the
+    interpreter lock and threads bought nothing.
     """
+    if n < 1:
+        raise ChannelError("horizon must be positive")
     if trials < 100:
         raise ChannelError("need at least 100 trials")
     if not (0.0 < eps):
         raise ChannelError("eps must be positive")
 
     if isinstance(policy, StationaryPolicy):
-        bad = _azuma_batch(ch, _stationary_grid_map(policy, grid), grid,
-                           n, eps, trials, seed)
+        counts = _stationary_counts(ch, _stationary_grid_map(policy, grid), grid,
+                                    n, trials, seed)
     else:
-        bad = 0
-        for k in range(trials):
-            m = simulate_trajectory(ch, policy, grid, n, seed, substream=k)
-            if float(np.max(np.abs(f_functional(ch, m)))) >= eps + 1.0 / n:
-                bad += 1
+        counts = np.stack([simulate_trajectory(ch, policy, grid, n, seed, substream=k).counts
+                           for k in range(trials)])
+    f = _balance(ch, grid, counts / float(n))
+    bad = int((np.abs(f).max(axis=1) >= eps + 1.0 / n).sum())
     empirical = bad / trials
     bound = 2.0 * ch.n_states * math.exp(-n * eps * eps / 2.0)
     se = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)

@@ -27,6 +27,8 @@ from .costs import ExtReal, kl_divergence, mi_cost
 from .ergodic import check_assumption1, stationary_measure
 
 _START_SEED = 2718281828459045  # fixed: `capacity` takes no seed and must be reproducible
+_N_STARTS = 16                  # ascent starting points
+_ASCENT_TOL = 1e-10             # a gain at most this counts toward a start's stall
 
 
 @dataclass(frozen=True)
@@ -131,39 +133,37 @@ def _capacity_no_isi(ch):
         dists.append(InputDist(u / u.sum()))
         per_state.append(val)
         iters_total += iters
-    policy = StationaryPolicy(tuple(dists))
-    c_val, mu = _exact_value(ch, policy)
     diag = {
         "method": "per_state_fixed_point",
         "per_state_gain_nats": [float(v) for v in per_state],
         "iterations": iters_total,
     }
-    return c_val, policy, mu, diag
+    return StationaryPolicy(tuple(dists)), diag
 
 
 # ---------------------------------------------------------------------------
 # general path: multi-start projected gradient ascent
 
-def _starting_points(S, X, n_starts=16):
+def _starting_points(S, X):
     pts = []
     for f in itertools.product(range(X), repeat=S):
         m = np.zeros((S, X))
         m[np.arange(S), f] = 1.0
         pts.append(m)
-        if len(pts) >= min(8, n_starts - 2):
+        if len(pts) >= min(8, _N_STARTS - 2):
             break
     pts.append(np.full((S, X), 1.0 / X))
     gen = _rng.stream(_START_SEED, _rng.AUX_STREAM)
-    while len(pts) < n_starts:
+    while len(pts) < _N_STARTS:
         raw = gen.random((S, X)) + 1e-3
         pts.append(raw / raw.sum(axis=1, keepdims=True))
     return np.stack(pts)
 
 
-def _pgd_capacity(ch, n_starts=16, tol=1e-10, max_iters=600, fd_step=1e-6):
+def _pgd_capacity(ch, max_iters=600, fd_step=1e-6):
     ev = _Evaluator(ch)
     S, X = ev.S, ev.X
-    pi = _starting_points(S, X, n_starts)
+    pi = _starting_points(S, X)
     B = pi.shape[0]
     step = np.full(B, 0.25)
     stall = np.zeros(B, dtype=int)
@@ -198,14 +198,12 @@ def _pgd_capacity(ch, n_starts=16, tol=1e-10, max_iters=600, fd_step=1e-6):
         step[better] = np.minimum(step[better] * 1.618, 8.0)
         worse = (~better) & active
         step[worse] *= 0.5
-        stall[better & (gain > tol)] = 0
-        stall[active & ((gain <= tol) | worse)] += 1
+        stall[better & (gain > _ASCENT_TOL)] = 0
+        stall[active & ((gain <= _ASCENT_TOL) | worse)] += 1
         active &= (stall < 12) & (step > 1e-14)
     best = int(np.argmax(j_cur))
     raw = pi[best].copy()
     raw[raw < 1e-12] = 0.0
-    policy = StationaryPolicy.from_matrix(raw / raw.sum(axis=1, keepdims=True))
-    c_val, mu = _exact_value(ch, policy)
     diag = {
         "method": "multistart_projected_ascent",
         "starts": int(B),
@@ -213,23 +211,24 @@ def _pgd_capacity(ch, n_starts=16, tol=1e-10, max_iters=600, fd_step=1e-6):
         "best_start": best,
         "batch_objective_nats": float(j_cur[best]),
     }
-    return c_val, policy, mu, diag
+    return StationaryPolicy.from_matrix(raw / raw.sum(axis=1, keepdims=True)), diag
 
 
-def capacity(ch, n_starts=16, tol=1e-10) -> CapacityResult:
-    """Feedback capacity over stationary policies, nats per channel use."""
+def capacity(ch) -> CapacityResult:
+    """Feedback capacity over stationary policies, nats per channel use.  C is
+    _exact_value of the solver's policy, which must match the solver's own
+    objective within 1e-9."""
     ok, violators = check_assumption1(ch)
     if not ok:
         raise ChannelError(f"reducible policy chain, e.g. deterministic map {violators[0]}")
-    if is_no_isi(ch):
-        c_val, policy, mu, diag = _capacity_no_isi(ch)
-    else:
-        c_val, policy, mu, diag = _pgd_capacity(ch, n_starts=n_starts, tol=tol)
+    no_isi = is_no_isi(ch)
+    policy, diag = (_capacity_no_isi if no_isi else _pgd_capacity)(ch)
+    c_val, mu = _exact_value(ch, policy)
     cap = math.log(ch.n_inputs)
     if not -1e-9 <= c_val <= cap + 1e-9:
         raise ChannelError(f"capacity {c_val} outside [0, ln|X|]")
-    check, _ = _exact_value(ch, policy)
-    if abs(check - c_val) > 1e-9:
+    own = np.dot(mu, diag["per_state_gain_nats"]) if no_isi else diag["batch_objective_nats"]
+    if abs(own - c_val) > 1e-9:
         raise ChannelError("capacity recomputation mismatch")
     return CapacityResult(max(c_val, 0.0), policy, mu, diag)
 
@@ -238,8 +237,10 @@ def capacity_grid_oracle(ch, resolution: int) -> float:
     """Brute-force certified lower bound: exhaustive product grid search.
 
     Each state's input simplex is covered by the lattice of denominators
-    `resolution`; feasible only for |S| * (|X| - 1) <= 4.
+    `resolution` >= 1; feasible only for |S| * (|X| - 1) <= 4.
     """
+    if resolution < 1:
+        raise ChannelError("grid resolution must be at least 1")
     S, X = ch.n_states, ch.n_inputs
     if S * (X - 1) > 4:
         raise ChannelError("grid oracle limited to |S|*(|X|-1) <= 4")

@@ -32,8 +32,7 @@ from .channel import ChannelError
 from .planner import BurnashevResult, CapacityResult, burnashev_coefficient, capacity
 
 MESSAGE_CAP = 1 << 16
-_CODEBOOK_CHUNK = 4096            # codewords drawn per block (fixed: determinism)
-_MESSAGE_BLOCK = 4096             # codewords per one-hot block of the decode screen
+_MESSAGE_BLOCK = 4096             # codewords per block: drawn, and one-hot in the decode screen
 _SCORE_BLOCK = 1 << 20            # float32 entries per score and per-use block
 _POOL = 1 << 12                   # trials simulate steps at once: its working set
 
@@ -68,6 +67,8 @@ class SchemeConfig:
             raise ChannelError("gamma must lie in (0, 1)")
         if self.trials < 1 or self.max_epochs < 1:
             raise ChannelError("trials and max_epochs must be positive")
+        if self.confirm_threshold is not None and math.isnan(self.confirm_threshold):
+            raise ChannelError("confirm_threshold must not be nan")
         # ceil with slop guard: 0.6*20 can evaluate to 12.000000000000002.
         n_hat = math.ceil(self.gamma * self.n - 1e-9)
         n_tilde = self.n - n_hat
@@ -104,10 +105,10 @@ class Scheme:
         self._pair_cdf, self._last_pos = _rng.inverse_cdf(flat)
         self._init_cdf, self._init_last = _rng.inverse_cdf(ch.initial_dist)
         self._logk = np.where(flat > 0.0, np.log(np.maximum(flat, 1e-300)), -1e18)  # (S, X, SY)
-        f0, f1 = np.array(exp_result.f0), np.array(exp_result.f1)
-        self._f0, self._f1 = f0, f1
-        p0 = k[np.arange(S), f0].reshape(S, S, Y)   # P(v, y | s, f0(s))
-        p1 = k[np.arange(S), f1].reshape(S, S, Y)
+        on_f = (np.arange(S), np.array([exp_result.f0, exp_result.f1]))   # [bit, s]: f_bit(s)
+        # verify-phase draw tables [bit, s]: the law of (v, y) given s and f_bit(s)
+        self._verify_cdf, self._verify_last = self._pair_cdf[on_f], self._last_pos[on_f]
+        p0, p1 = k[on_f]                            # P(v, y | s, f0(s)), and under f1
         llr = np.zeros((S, S, Y))
         both = (p0 > 0.0) & (p1 > 0.0)
         llr[both] = np.log(p0[both]) - np.log(p1[both])
@@ -116,8 +117,8 @@ class Scheme:
         self._llr_tab = llr
         self._forbid = p1 == 0.0                    # deny-impossible transitions
         # the same tables as nested lists, for one trial at a time (_phase2_one)
-        self._lists = tuple(a.tolist() for a in (self._pair_cdf, self._last_pos, llr,
-                                                 self._forbid, f0, f1))
+        self._lists = tuple(a.tolist() for a in (self._verify_cdf, self._verify_last, llr,
+                                                 self._forbid))
         self.infinite_d = exp_result.D.is_inf
         self._codebook = None
 
@@ -132,8 +133,8 @@ class Scheme:
             pol_cdf, last = _rng.inverse_cdf(self.capacity_result.optimal_policy.matrix())
             gen = _rng.stream(cfg.seed, _rng.CODEBOOK_STREAM)
             blocks = []
-            for lo in range(0, w_total, _CODEBOOK_CHUNK):
-                u = gen.random((min(lo + _CODEBOOK_CHUNK, w_total) - lo, n_hat, S))
+            for lo in range(0, w_total, _MESSAGE_BLOCK):    # blocks bound memory, not the draws
+                u = gen.random((min(lo + _MESSAGE_BLOCK, w_total) - lo, n_hat, S))
                 blocks.append(_rng.draw(pol_cdf, last, u).astype(np.int8))
             self._codebook = np.concatenate(blocks, axis=0)
         return self._codebook
@@ -253,11 +254,9 @@ def _phase2_batch(scheme, bits, s0, u):
     s = s0.astype(np.int64)
     llr = np.zeros(u.shape[0])
     fired = np.zeros(u.shape[0], dtype=bool)
-    f0s, f1s = scheme._f0, scheme._f1
     for t in range(n_tilde):
-        x = np.where(bits == 0, f0s[s], f1s[s]).astype(np.int64)
-        v, y = np.divmod(_rng.draw(scheme._pair_cdf[s, x], scheme._last_pos[s, x], u[:, t]),
-                         scheme._Y)
+        v, y = np.divmod(_rng.draw(scheme._verify_cdf[bits, s], scheme._verify_last[bits, s],
+                                   u[:, t]), scheme._Y)
         if t < n_tilde - 1:                          # the last next-state is unobserved
             llr = llr + scheme._llr_tab[s, v, y]
             fired |= scheme._forbid[s, v, y]
@@ -269,12 +268,11 @@ def _phase2_batch(scheme, bits, s0, u):
 def _phase2_one(scheme, bit, s, u):
     """_phase2_batch for one trial in Python scalars, with the same draws and
     the same left-to-right LLR sum; returns (decided, llr, end_state)."""
-    cdf, last, tab, forbid, f0, f1 = scheme._lists
-    f, n_out, stop = (f1 if bit else f0), scheme._Y, len(u) - 1
+    cdf, last, tab, forbid = scheme._lists
+    cdf, last, n_out, stop = cdf[bit], last[bit], scheme._Y, len(u) - 1
     llr, fired = 0.0, False
     for t, ut in enumerate(u):
-        x = f[s]
-        v, y = divmod(min(bisect_right(cdf[s][x], ut), last[s][x]), n_out)
+        v, y = divmod(min(bisect_right(cdf[s], ut), last[s]), n_out)
         if t < stop:                                 # the last next-state is unobserved
             llr += tab[s][v][y]
             fired = fired or forbid[s][v][y]
@@ -395,8 +393,9 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
     step and epochs used kept as a histogram.  All that grows with the trial
     count is the trial id, sent bit and LLR of each trial-epoch (17 bytes,
     and about 34 more while they are sorted at the end), kept so that the
-    mean LLRs are summed in (trial, epoch) order; with a trace_sink the trace
-    columns are kept as well.
+    mean LLRs are summed in (trial, epoch) order; with a trace_sink the same
+    record also holds each epoch, decode and decision, and one sort orders
+    both.
     """
     cfg = scheme.config
     b, n, n_hat, w_total = cfg.trials, cfg.n, cfg.n_hat, cfg.message_count
@@ -405,8 +404,7 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
     hist = np.zeros(cfg.max_epochs + 1, dtype=np.int64)     # trials by epochs used
     outcomes = np.zeros(4, dtype=np.int64)     # epochs by (sent, decided) bits
     aborted = 0
-    kept = []                        # per step: (trial ids, sent bits, llr)
-    traced = []
+    steps = []                       # per step: trial ids, sent bits, llr (+ trace columns)
     live = admitted = 0
     while live or admitted < b:
         k = min(cap - live, b - admitted)
@@ -424,9 +422,8 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
         sent = (decoded != w[pool]).astype(np.int64)
         decided, s_end, llr = _phase2_batch(scheme, sent, s_mid, u[:, 2 + n_hat:])
         outcomes += np.bincount(2 * sent + decided, minlength=4)
-        kept.append((ids[pool].copy(), sent.astype(np.int8), llr))
-        if trace_sink is not None:
-            traced.append((ids[pool].copy(), epoch[pool].copy(), decoded, sent, decided, llr))
+        step = (ids[pool].copy(), sent.astype(np.int8), llr)
+        steps.append(step if trace_sink is None else step + (epoch[pool].copy(), decoded, decided))
         epoch[pool] += 1
         going = (decided != 0) & (epoch[pool] < cfg.max_epochs)
         hist += np.bincount(epoch[pool][~going], minlength=hist.size)
@@ -434,19 +431,18 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
         live = int(going.sum())      # keep the survivors in order, at the front
         for a, v in ((ids, ids[pool]), (w, w[pool]), (s, s_end), (epoch, epoch[pool])):
             a[:live] = v[going]
+    trial, sent, llr, *traced = map(np.concatenate, zip(*steps))
+    steps.clear()
+    order = np.argsort(trial, kind="stable")         # step-major -> (trial, epoch)
+    sent, llr = sent[order], llr[order]
     if trace_sink is not None:
-        cols = tuple(map(np.concatenate, zip(*traced)))
-        order = np.argsort(cols[0], kind="stable")   # step-major -> (trial, epoch)
-        rows = (a[order].tolist() for a in cols)
-        for t, e, d, x, y, v in zip(*rows):
+        rows = (a[order].tolist() for a in (trial, *traced))
+        for t, e, d, y, x, v in zip(*rows, sent.tolist(), llr.tolist()):
             trace_sink(t, EpochTrace(e, d, x == 0, x, y, v))
     # per-symbol LLR means in (trial, epoch) order, so the float sums keep that order
-    trial, sent, llr = map(np.concatenate, zip(*kept))
-    kept.clear()
-    order = np.argsort(trial, kind="stable")         # step-major -> (trial, epoch)
-    per_symbol = llr[order] / (cfg.n_tilde - 1)
-    llr_h0 = per_symbol[sent[order] == 0]
-    llr_h1 = per_symbol[sent[order] == 1]
+    per_symbol = llr / (cfg.n_tilde - 1)
+    llr_h0 = per_symbol[sent == 0]
+    llr_h1 = per_symbol[sent == 1]
     ack_taken, ack_denied, deny_acked, deny_denied = outcomes.tolist()
     ack_sends, ph1_errors = ack_taken + ack_denied, deny_acked + deny_denied
     decodes = ack_sends + ph1_errors
@@ -468,21 +464,22 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
         mean_llr_per_symbol_h1=float(np.mean(llr_h1)) if llr_h1.size else None,
         aborted_trials=aborted,
         bound_checks=_bound_checks(b, errors, hist, decodes, ph1_errors,
-                                   ack_sends, ack_denied, ph1_errors, deny_acked),
+                                   ack_sends, ack_denied, deny_acked),
     )
 
 
 def _bound_checks(trials, errors, epochs_hist, ph1_decodes, ph1_errors,
-                  ack_sends, ack_denied, deny_sends, deny_acked) -> dict:
+                  ack_sends, ack_denied, deny_acked) -> dict:
     """Empirical sanity bounds: error probability and epoch-count tail.
-    epochs_hist[k] counts the trials that used k epochs."""
+    epochs_hist[k] counts the trials that used k epochs; a deny is sent
+    exactly when phase 1 errs, so ph1_errors also counts deny sends."""
 
     def se(p, n):
         return math.sqrt(max(p * (1.0 - p), 0.0) / n) if n else 0.0
 
     p_hat = ph1_errors / ph1_decodes if ph1_decodes else None
     p0_hat = ack_denied / ack_sends if ack_sends else None
-    p1_hat = deny_acked / deny_sends if deny_sends else None
+    p1_hat = deny_acked / ph1_errors if ph1_errors else None
     out = {}
     applicable = all(v is not None and v > 0.0 for v in (p_hat, p0_hat, p1_hat))
     if applicable:
@@ -492,7 +489,7 @@ def _bound_checks(trials, errors, epochs_hist, ph1_decodes, ph1_errors,
         dr_dp1 = p_hat / denom
         dr_dp0 = p_hat * p_hat * p1_hat / (denom * denom)
         se_rhs = math.sqrt((dr_dp * se(p_hat, ph1_decodes)) ** 2
-                           + (dr_dp1 * se(p1_hat, deny_sends)) ** 2
+                           + (dr_dp1 * se(p1_hat, ph1_errors)) ** 2
                            + (dr_dp0 * se(p0_hat, ack_sends)) ** 2)
         lhs = errors / trials
         slack = 3.0 * (se(lhs, trials) + se_rhs)
@@ -513,7 +510,7 @@ def _bound_checks(trials, errors, epochs_hist, ph1_decodes, ph1_errors,
             rhs = repeat ** (k - 1)
             se_lhs = se(lhs, trials)
             se_rep = math.sqrt(se(p_hat, ph1_decodes) ** 2 + se(p0_hat, ack_sends) ** 2)
-            se_rhs = (k - 1) * repeat ** (k - 2) * se_rep if k >= 2 else 0.0
+            se_rhs = (k - 1) * repeat ** (k - 2) * se_rep
             geo.append({
                 "k": k,
                 "applicable": True,

@@ -196,6 +196,24 @@ def test_sweep_example_rejects_bad_params():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep-example", "--gamma-step", "0"),
+    ("sweep-example", "--gamma-step", "nan"),
+    ("azuma", "{bsc}", "--n", "0"),
+    ("azuma", "{bsc}", "--n", "-3"),
+    ("capacity", "{bsc}", "--grid", "-1"),
+    ("simulate", "{bsc}", "--rate", "0.18", "--gamma", "0.6", "--n", "20",
+     "--trials", "50", "--threshold", "nan"),
+])
+def test_bad_numbers_exit_1_with_one_error_line(argv, bsc_file):
+    proc = run_cli(*(a.format(bsc=bsc_file) for a in argv))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_sweep_example_default_is_99_rows():
     proc = run_cli("sweep-example", "--jobs", "4", check=True)
     rows = proc.stdout.strip().splitlines()

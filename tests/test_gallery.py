@@ -125,6 +125,9 @@ def test_sweep_jobs_invariant():
 def test_sweep_rejects_bad_params():
     with pytest.raises(ChannelError):
         fsmc.sweep_gamma(p_g=0.2, p_b=0.1)
+    for step in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ChannelError):
+            fsmc.sweep_gamma(gamma_step=step)
 
 
 # ---------------------------------------------------------------------------

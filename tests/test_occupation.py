@@ -255,6 +255,15 @@ def test_azuma_rejects_small_trial_counts():
         azuma_tail_check(ch, pol, grid, n=100, eps=0.2, trials=99, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_azuma_rejects_nonpositive_horizon(n):
+    ch = make_bsc(0.1)
+    grid = ControlGrid.corners(2)
+    for pol in (StationaryPolicy.deterministic((0,), 2), lambda states, outputs: grid.points[0]):
+        with pytest.raises(ChannelError):
+            azuma_tail_check(ch, pol, grid, n=n, eps=0.2, trials=100, seed=0)
+
+
 def test_azuma_trivial_epsilon():
     ch = make_bsc(0.1)
     grid = ControlGrid.corners(2)

@@ -50,12 +50,36 @@ def test_capacity_requires_irreducibility():
         fsmc.capacity(ch)
 
 
+@pytest.mark.parametrize("make", [lambda: make_bsc(0.1),
+                                  lambda: fsmc.make_example(fsmc.gamma_params(0.5))],
+                         ids=["bsc-no-isi", "gamma-0.5-isi"])
+def test_capacity_mismatch_check_fires(make, monkeypatch):
+    """capacity compares the solver's own objective with _exact_value, so a
+    recomputation that drifts by 1e-6 must be caught on both solver paths."""
+    ch = make()
+    exact = fsmc.planner._exact_value
+
+    def drifted(channel, policy):
+        value, mu = exact(channel, policy)
+        return value + 1e-6, mu
+
+    monkeypatch.setattr(fsmc.planner, "_exact_value", drifted)
+    with pytest.raises(ChannelError, match="mismatch"):
+        fsmc.capacity(ch)
+
+
 def test_capacity_isi_beats_grid_oracle():
     ch = fsmc.make_example(fsmc.gamma_params(0.3))
     res = fsmc.capacity(ch)
     assert abs(res.C - G3_C) < 1e-7
     coarse = fsmc.capacity_grid_oracle(ch, 60)
     assert res.C >= coarse - 1e-9
+
+
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_grid_oracle_rejects_resolution_below_one(bsc, resolution):
+    with pytest.raises(ChannelError):
+        fsmc.capacity_grid_oracle(bsc, resolution)
 
 
 def test_grid_oracle_monotone_in_resolution():

@@ -78,7 +78,7 @@ def oracle_simulate(scheme):
         mean_llr_per_symbol_h1=float(np.mean(llr_h1)) if llr_h1 else None,
         aborted_trials=int(active.sum()),
         bound_checks=yi._bound_checks(b, errors, epochs_hist, decodes, ph1_errors,
-                                      ack_sends, ack_denied, deny_sends, deny_acked))
+                                      ack_sends, ack_denied, deny_acked))
     return report, traces
 
 

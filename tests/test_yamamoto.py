@@ -65,6 +65,10 @@ def test_config_validation():
         SchemeConfig(rate=0.1, gamma=0.95, n=20)   # verify phase shorter than 2
     with pytest.raises(ChannelError):
         SchemeConfig(rate=0.1, gamma=0.5, n=20, trials=0)
+    with pytest.raises(ChannelError):
+        SchemeConfig(rate=0.1, gamma=0.5, n=20, confirm_threshold=math.nan)
+    for rule in (math.inf, -math.inf):                 # accept nothing, or everything
+        assert SchemeConfig(rate=0.1, gamma=0.5, n=20, confirm_threshold=rule).n_tilde == 10
 
 
 def test_build_scheme_preconditions():
