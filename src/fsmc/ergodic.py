@@ -89,7 +89,9 @@ def stationary_measure(q) -> np.ndarray:
     good[good] = cand[good].min(axis=1) > -1e-9
     mu = np.clip(np.where(good[:, None], cand, 1.0), 0.0, None)
     mu /= mu.sum(axis=1, keepdims=True)
-    for i in np.nonzero(~good | (_residuals(mu, qs) > RESIDUAL_TOL))[0]:
+    resid = _residuals(mu, qs)
+    redo = np.nonzero(~good | (resid > RESIDUAL_TOL))[0]
+    for i in redo:
         # lazy chain has the same stationary law and no periodicity
         half = 0.5 * (qs[i] + np.eye(n))
         m = np.full(n, 1.0 / n)
@@ -99,9 +101,10 @@ def stationary_measure(q) -> np.ndarray:
                 break
         m = np.clip(m, 0.0, None)
         mu[i] = m / m.sum()
-    resid = float(_residuals(mu, qs).max())
-    if resid > RESIDUAL_TOL:
-        raise ChannelError(f"stationary solve residual {resid:.3g} > {RESIDUAL_TOL}")
+    if redo.size:       # only the rows that power iteration replaced change
+        resid[redo] = _residuals(mu[redo], qs[redo])
+    if resid.max() > RESIDUAL_TOL:
+        raise ChannelError(f"stationary solve residual {resid.max():.3g} > {RESIDUAL_TOL}")
     return mu.reshape(q.shape[:-1])
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .channel import ChannelError, InputDist, channel_from_arrays
 from .costs import binary_entropy, binary_kl, entropy
 from .ergodic import stationary_measure
-from .planner import burnashev_coefficient, capacity, _blahut_arimoto
+from .planner import burnashev_coefficient, capacity, _blahut_arimoto, _capacities
 from .channel import induced_matrix, StationaryPolicy
 
 DEFAULT_PG = 0.001
@@ -146,23 +146,21 @@ def sweep_gamma(p_g=DEFAULT_PG, p_b=DEFAULT_PB, alpha0=DEFAULT_ALPHA0,
     steps = int(round(1.0 / gamma_step)) - 1
     if steps < 1:
         raise ChannelError("gamma_step too coarse")
+    params = [gamma_params(gamma_step * k, p_g, p_b, alpha0, beta0) for k in range(1, steps + 1)]
+    chs = [make_example(p) for p in params]
     rows = []
-    for k in range(1, steps + 1):
-        g = gamma_step * k
-        params = gamma_params(g, p_g, p_b, alpha0, beta0)
-        ch = make_example(params)
-        cap = capacity(ch)
+    for k, (p, ch, cap) in enumerate(zip(params, chs, _capacities(chs)), 1):
         exp = burnashev_coefficient(ch)
         pol = cap.optimal_policy.matrix()
         row = {
-            "gamma": g,
+            "gamma": gamma_step * k,
             "C_nats": cap.C,
             "piG_1": float(pol[0, 1]),
             "piB_1": float(pol[1, 1]),
             "D_nats": exp.D.to_float(),
         }
         for f0 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            row[f"klf{f0[0]}{f0[1]}"] = _best_divergence_for_f0(params, f0)
+            row[f"klf{f0[0]}{f0[1]}"] = _best_divergence_for_f0(p, f0)
         rows.append(row)
     return rows
 

@@ -129,10 +129,12 @@ def _grid_transition(ch, grid: ControlGrid) -> np.ndarray:
 
 
 def _balance(ch, grid: ControlGrid, w: np.ndarray) -> np.ndarray:
-    """F of each occupation measure in w (..., S, K); asserts its components sum to 0."""
+    """F of each measure in w (..., S, K); asserts that its components sum to the
+    kernel's row defect under w, sum_{j,k,x} w[j,k] u_k(x) (1 - sum P(.|j, x))."""
     f = w.sum(axis=-1) - np.einsum("...jk,jks->...s", w, _grid_transition(ch, grid))
-    if np.any(np.abs(f.sum(axis=-1)) > 1e-12):
-        raise ChannelError("balance components must sum to zero")
+    defect = np.einsum("...jk,kx,jx->...", w, grid.matrix(), 1.0 - ch.kernel.sum(axis=(2, 3)))
+    if np.any(np.abs(f.sum(axis=-1) - defect) > 1e-12):
+        raise ChannelError("balance components must sum to the kernel's row defect")
     return f
 
 

@@ -4,8 +4,10 @@ Capacity is max over stationary state-feedback policies pi of
 sum_s mu_pi(s) c(s, pi_s), with mu_pi the ergodic state law under pi.  With
 ISI the ergodic measure depends on the policy, so the objective is not
 separable per state; it is solved by multi-start projected gradient ascent,
-certified in tests against a brute-force grid oracle.  Without ISI the
-measure is policy-free and each state solves independently (Blahut-Arimoto).
+certified in tests against a brute-force grid oracle.  One ascent runs on a
+stack of same-shape channels at once, and each finite-difference probe
+recosts only the row it perturbs.  Without ISI the measure is policy-free
+and each state solves independently (Blahut-Arimoto).
 
 The exponent coefficient D is max over deterministic map pairs (f0, f1) of
 sum_s mu_{f0}(s) KL(P(.|s, f0(s)) || P(.|s, f1(s))); only f0's ergodic
@@ -29,6 +31,7 @@ from .ergodic import check_assumption1, stationary_measure
 _START_SEED = 2718281828459045  # fixed: `capacity` takes no seed and must be reproducible
 _N_STARTS = 16                  # ascent starting points
 _ASCENT_TOL = 1e-10             # a gain at most this counts toward a start's stall
+_STACK = 64                     # most channels one stacked ascent holds: memory stays bounded
 
 
 @dataclass(frozen=True)
@@ -52,14 +55,14 @@ class BurnashevResult:
 # batched policy evaluation
 
 class _Evaluator:
-    """Evaluates J(pi) = sum_s mu_pi(s) c(s, pi_s) for batches of policies."""
+    """Evaluates J(pi) = sum_s mu_pi(s) c(s, pi_s) for batches of policies on a
+    stack of same-shape channels, kernels (G, S, X, V, Y)."""
 
-    def __init__(self, ch):
-        self.P = ch.kernel
-        self.PS = s_marginal(ch)
+    def __init__(self, kernels):
+        self.P = kernels
+        self.PS = kernels.sum(axis=4)
         plnp = np.where(self.P > 0.0, self.P * np.log(np.maximum(self.P, 1e-300)), 0.0)
-        self.PlnP = plnp.sum(axis=(2, 3))      # (S, X)
-        self.S, self.X = ch.n_states, ch.n_inputs
+        self.PlnP = plnp.sum(axis=(3, 4))      # (G, S, X)
 
     def sanitize(self, pi):
         pi = np.clip(pi, 0.0, None)
@@ -68,16 +71,37 @@ class _Evaluator:
             raise ChannelError("degenerate policy row")
         return pi / sums
 
-    def value(self, pi):
-        """J for pi of shape (B, S, X); rows are cleaned up front."""
-        pi = self.sanitize(pi)
-        q = np.einsum("bsx,sxvy->bsvy", pi, self.P)
+    def _rows(self, pi):
+        """Gains c (G, B, S) and transition rows (G, B, S, V) of clean pi (G, B, S, X)."""
+        q = np.einsum("gbsx,gsxvy->gbsvy", pi, self.P)
         lnq = np.log(np.maximum(q, 1e-300))
-        plnq = np.einsum("sxvy,bsvy->bsx", self.P, lnq)
-        inner = self.PlnP[None, :, :] - plnq
-        c = np.where(pi > 0.0, pi * inner, 0.0).sum(axis=2)    # (B, S)
-        mu = stationary_measure(np.einsum("bsx,sxv->bsv", pi, self.PS))
-        return (mu * c).sum(axis=1), c, mu
+        plnq = np.einsum("gsxvy,gbsvy->gbsx", self.P, lnq)
+        inner = self.PlnP[:, None] - plnq
+        c = np.where(pi > 0.0, pi * inner, 0.0).sum(axis=3)
+        return c, np.einsum("gbsx,gsxv->gbsv", pi, self.PS)
+
+    def value(self, pi):
+        """J (G, B) for pi of shape (G, B, S, X); rows are cleaned up front."""
+        c, t = self._rows(self.sanitize(pi))
+        return (stationary_measure(t) * c).sum(axis=2)
+
+    def probe_values(self, pi, fd):
+        """J (G, S, X, 2, B) of pi (G, B, S, X) with entry (s, x) moved by +fd and by
+        -fd.  Such a probe differs from pi in row s alone, so block 0 holds pi and
+        blocks 1 + 2x, 2 + 2x move entry x of every row by +fd, -fd; a probe takes
+        row s from them and the other rows from pi, and solves its own chain."""
+        G, B, S, X = pi.shape
+        moved = np.repeat(pi[:, None], 2 * X + 1, axis=1)
+        xs, ss = np.arange(X), np.arange(S)
+        moved[:, 1 + 2 * xs, :, :, xs] += fd
+        moved[:, 2 + 2 * xs, :, :, xs] -= fd
+        c, t = self._rows(self.sanitize(moved.reshape(G, -1, S, X)))
+        c, t = c.reshape(G, -1, B, S), t.reshape(G, -1, B, S, S)
+        cp = np.repeat(c[:, :1], 2 * S * X, axis=1).reshape(G, S, X, 2, B, S)
+        cp[:, ss, :, :, :, ss] = c[:, 1:].reshape(G, X, 2, B, S).transpose(4, 0, 1, 2, 3)
+        tp = np.repeat(t[:, :1], 2 * S * X, axis=1).reshape(G, S, X, 2, B, S, S)
+        tp[:, ss, :, :, :, ss] = t[:, 1:].reshape(G, X, 2, B, S, S).transpose(4, 0, 1, 2, 3, 5)
+        return (stationary_measure(tp) * cp).sum(axis=-1)
 
 
 def _project_simplex(v):
@@ -125,34 +149,20 @@ def _blahut_arimoto(w, tol=1e-12, max_iters=5000):
 
 
 def _capacity_no_isi(ch):
-    S = ch.n_states
-    dists, per_state, iters_total = [], [], 0
-    for s in range(S):
-        w = ch.kernel[s].reshape(ch.n_inputs, -1)
-        u, val, iters = _blahut_arimoto(w)
-        dists.append(InputDist(u / u.sum()))
-        per_state.append(val)
-        iters_total += iters
-    diag = {
-        "method": "per_state_fixed_point",
-        "per_state_gain_nats": [float(v) for v in per_state],
-        "iterations": iters_total,
-    }
-    return StationaryPolicy(tuple(dists)), diag
+    sols = [_blahut_arimoto(ch.kernel[s].reshape(ch.n_inputs, -1)) for s in range(ch.n_states)]
+    diag = {"method": "per_state_fixed_point",
+            "per_state_gain_nats": [float(v) for _, v, _ in sols],
+            "iterations": sum(iters for _, _, iters in sols)}
+    return StationaryPolicy(tuple(InputDist(u / u.sum()) for u, _, _ in sols)), diag
 
 
 # ---------------------------------------------------------------------------
 # general path: multi-start projected gradient ascent
 
 def _starting_points(S, X):
-    pts = []
-    for f in itertools.product(range(X), repeat=S):
-        m = np.zeros((S, X))
-        m[np.arange(S), f] = 1.0
-        pts.append(m)
-        if len(pts) >= min(8, _N_STARTS - 2):
-            break
-    pts.append(np.full((S, X), 1.0 / X))
+    """The first deterministic maps as corner policies, the uniform policy, then random ones."""
+    maps = itertools.islice(itertools.product(range(X), repeat=S), min(8, _N_STARTS - 2))
+    pts = list(np.eye(X)[np.array(list(maps))]) + [np.full((S, X), 1.0 / X)]
     gen = _rng.stream(_START_SEED, _rng.AUX_STREAM)
     while len(pts) < _N_STARTS:
         raw = gen.random((S, X)) + 1e-3
@@ -160,37 +170,23 @@ def _starting_points(S, X):
     return np.stack(pts)
 
 
-def _pgd_capacity(ch, max_iters=600, fd_step=1e-6):
-    ev = _Evaluator(ch)
-    S, X = ev.S, ev.X
-    pi = _starting_points(S, X)
-    B = pi.shape[0]
-    step = np.full(B, 0.25)
-    stall = np.zeros(B, dtype=int)
-    active = np.ones(B, dtype=bool)
-    j_cur, _, _ = ev.value(pi)
-    iters = 0
-    for iters in range(1, max_iters + 1):
+def _pgd_capacity(chs, max_iters=600, fd_step=1e-6):
+    """Multi-start projected ascent on a stack of same-shape ISI channels, every
+    (channel, start) with its own step and stall; one (policy, diag) per channel."""
+    ev = _Evaluator(np.stack([ch.kernel for ch in chs]))
+    pi = np.repeat(_starting_points(*ev.P.shape[1:3])[None], len(chs), axis=0)
+    G, B = pi.shape[:2]
+    step, stall, active = np.full((G, B), 0.25), np.zeros((G, B), int), np.ones((G, B), bool)
+    j_cur = ev.value(pi)
+    iters = np.full(G, max_iters)      # the loop index at which each channel's last start stopped
+    for it in range(1, max_iters + 1):
+        iters[(iters == max_iters) & ~active.any(axis=1)] = it
         if not active.any():
             break
-        # central finite differences, one stacked batched evaluation
-        probes = np.repeat(pi[None, :, :, :], 2 * S * X, axis=0).reshape(-1, S, X).copy()
-        k = 0
-        for s in range(S):
-            for x in range(X):
-                probes[k * B:(k + 1) * B, s, x] += fd_step
-                probes[(k + 1) * B:(k + 2) * B, s, x] -= fd_step
-                k += 2
-        j_probe, _, _ = ev.value(probes)
-        j_probe = j_probe.reshape(2 * S * X, B)
-        grad = np.empty((B, S, X))
-        k = 0
-        for s in range(S):
-            for x in range(X):
-                grad[:, s, x] = (j_probe[k] - j_probe[k + 1]) / (2.0 * fd_step)
-                k += 2
-        cand = _project_simplex(pi + step[:, None, None] * grad)
-        j_cand, _, _ = ev.value(cand)
+        j_probe = ev.probe_values(pi, fd_step)           # (G, S, X, 2, B)
+        grad = ((j_probe[:, :, :, 0] - j_probe[:, :, :, 1]) / (2.0 * fd_step)).transpose(0, 3, 1, 2)
+        cand = _project_simplex(pi + step[:, :, None, None] * grad)
+        j_cand = ev.value(cand)
         better = (j_cand > j_cur + 1e-15) & active
         gain = np.where(better, j_cand - j_cur, 0.0)
         pi[better] = cand[better]
@@ -201,36 +197,50 @@ def _pgd_capacity(ch, max_iters=600, fd_step=1e-6):
         stall[better & (gain > _ASCENT_TOL)] = 0
         stall[active & ((gain <= _ASCENT_TOL) | worse)] += 1
         active &= (stall < 12) & (step > 1e-14)
-    best = int(np.argmax(j_cur))
-    raw = pi[best].copy()
-    raw[raw < 1e-12] = 0.0
-    diag = {
-        "method": "multistart_projected_ascent",
-        "starts": int(B),
-        "iterations": int(iters),
-        "best_start": best,
-        "batch_objective_nats": float(j_cur[best]),
-    }
-    return StationaryPolicy.from_matrix(raw / raw.sum(axis=1, keepdims=True)), diag
+    out = []
+    for g, best in enumerate(np.argmax(j_cur, axis=1)):
+        raw = np.where(pi[g, best] < 1e-12, 0.0, pi[g, best])
+        diag = {"method": "multistart_projected_ascent", "starts": int(B),
+                "iterations": int(iters[g]), "best_start": int(best),
+                "batch_objective_nats": float(j_cur[g, best])}
+        out.append((StationaryPolicy.from_matrix(raw / raw.sum(axis=1, keepdims=True)), diag))
+    return out
+
+
+def _capacities(chs):
+    """capacity of each channel in chs.  The ISI channels of one shape share
+    stacked ascents of at most _STACK channels each."""
+    solved, groups = {}, {}
+    for i, ch in enumerate(chs):
+        ok, violators = check_assumption1(ch)
+        if not ok:
+            raise ChannelError(f"reducible policy chain, e.g. deterministic map {violators[0]}")
+        if is_no_isi(ch):
+            solved[i] = _capacity_no_isi(ch)
+        else:
+            groups.setdefault(ch.kernel.shape, []).append(i)
+    for idx in groups.values():
+        for part in (idx[k:k + _STACK] for k in range(0, len(idx), _STACK)):
+            solved.update(zip(part, _pgd_capacity([chs[i] for i in part])))
+    out = []
+    for i, ch in enumerate(chs):
+        policy, diag = solved[i]
+        c_val, mu = _exact_value(ch, policy)
+        if not -1e-9 <= c_val <= math.log(ch.n_inputs) + 1e-9:
+            raise ChannelError(f"capacity {c_val} outside [0, ln|X|]")
+        own = np.dot(mu, diag["per_state_gain_nats"]) if "per_state_gain_nats" in diag \
+            else diag["batch_objective_nats"]
+        if abs(own - c_val) > 1e-9:
+            raise ChannelError("capacity recomputation mismatch")
+        out.append(CapacityResult(max(c_val, 0.0), policy, mu, diag))
+    return out
 
 
 def capacity(ch) -> CapacityResult:
     """Feedback capacity over stationary policies, nats per channel use.  C is
     _exact_value of the solver's policy, which must match the solver's own
     objective within 1e-9."""
-    ok, violators = check_assumption1(ch)
-    if not ok:
-        raise ChannelError(f"reducible policy chain, e.g. deterministic map {violators[0]}")
-    no_isi = is_no_isi(ch)
-    policy, diag = (_capacity_no_isi if no_isi else _pgd_capacity)(ch)
-    c_val, mu = _exact_value(ch, policy)
-    cap = math.log(ch.n_inputs)
-    if not -1e-9 <= c_val <= cap + 1e-9:
-        raise ChannelError(f"capacity {c_val} outside [0, ln|X|]")
-    own = np.dot(mu, diag["per_state_gain_nats"]) if no_isi else diag["batch_objective_nats"]
-    if abs(own - c_val) > 1e-9:
-        raise ChannelError("capacity recomputation mismatch")
-    return CapacityResult(max(c_val, 0.0), policy, mu, diag)
+    return _capacities([ch])[0]
 
 
 def capacity_grid_oracle(ch, resolution: int) -> float:
@@ -249,17 +259,12 @@ def capacity_grid_oracle(ch, resolution: int) -> float:
         for c in itertools.product(range(resolution + 1), repeat=X)
         if sum(c) == resolution
     ])
-    m = grid.shape[0]
-    ev = _Evaluator(ch)
+    ev = _Evaluator(ch.kernel[None])
     best = -math.inf
-    combos = itertools.product(range(m), repeat=S)
-    while True:
-        batch = list(itertools.islice(combos, 16384))
-        if not batch:
-            break
+    combos = itertools.product(range(len(grid)), repeat=S)
+    while batch := list(itertools.islice(combos, 16384)):
         pi = grid[np.array(batch)]           # (B, S, X)
-        j, _, _ = ev.value(pi)
-        best = max(best, float(j.max()))
+        best = max(best, float(ev.value(pi[None]).max()))
     return best
 
 

@@ -110,3 +110,23 @@ def test_stacked_stationary_measure_periodic_and_singular():
     for i in (0, 1, 3):
         assert got[i].tobytes() == fsmc.stationary_measure(stack[i]).tobytes()
     assert got[1].tolist() == [0.5, 0.5]
+
+
+def test_power_iteration_rows_are_residual_checked(monkeypatch):
+    """Rows whose direct solve fails the residual go to power iteration and
+    are checked again on their new values: a converged row passes, a row
+    that power iteration cannot fix still raises."""
+    fast = np.array([[0.9, 0.1], [0.3, 0.7]])                # stationary (0.75, 0.25)
+    slow = np.array([[1.0 - 2e-9, 2e-9], [1e-9, 1.0 - 1e-9]])  # mixes in ~1e9 steps
+    solve = np.linalg.solve
+
+    def off(a, b):
+        out = solve(a, b)
+        out[:, :, 0] = 0.5          # finite and positive, but not stationary
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", off)
+    mu = fsmc.stationary_measure(np.stack([fast, fast]))
+    assert np.abs(mu - [0.75, 0.25]).max() < 1e-12
+    with pytest.raises(ChannelError, match="residual"):
+        fsmc.stationary_measure(np.stack([fast, slow]))

@@ -271,3 +271,46 @@ def test_azuma_trivial_epsilon():
     out = azuma_tail_check(ch, pol, grid, n=100, eps=2.0, trials=100, seed=0)
     assert out["pass"] is True
     assert out["empirical"] == 0.0
+
+
+def _off_by_rounding(scale=1.0 + 5e-10):
+    """The gamma = 0.5 example with row (s=0, x=0) scaled within validation's 1e-9."""
+    base = fsmc.make_example(fsmc.gamma_params(0.5))
+    k = np.array(base.kernel)
+    k[0, 0] *= scale
+    return fsmc.channel_from_arrays(base.state_labels, base.input_labels, base.output_labels,
+                                    k, [0.5, 0.5])
+
+
+def test_balance_allows_row_sums_within_validation():
+    """F's components sum to the kernel's row defect, not to zero: a channel
+    that validation accepts passes on both Azuma paths."""
+    ch = _off_by_rounding()
+    grid = ControlGrid.corners(2)
+    pol = StationaryPolicy.deterministic((0, 0), 2)
+    rows = [InputDist(w) for w in pol.matrix()]
+    fast = azuma_tail_check(ch, pol, grid, 200, 0.2, 100, 0)
+    slow = azuma_tail_check(ch, lambda states, outputs: rows[states[-1]], grid, 200, 0.2, 100, 0)
+    assert fast == slow and fast["pass"] is True
+    eta = OccupationMeasure(grid, np.array([[0.6, 0.0], [0.4, 0.0]]))
+    assert abs(f_functional(ch, eta).sum() + 0.6 * 5e-10) < 1e-15
+
+
+def test_balance_still_catches_a_corrupted_f(monkeypatch):
+    """F is taken through the grid transition and the defect from the kernel,
+    so an F built from a wrong transition is still refused."""
+    ch = fsmc.make_example(fsmc.gamma_params(0.5))
+    grid = ControlGrid.corners(2)
+    exact = fsmc.occupation._grid_transition
+
+    def skewed(channel, g):
+        t = exact(channel, g).copy()
+        t[0, 0, 0] += 1e-9
+        return t
+
+    monkeypatch.setattr(fsmc.occupation, "_grid_transition", skewed)
+    counts = np.array([[[120, 30], [20, 30]]] * 3)
+    with pytest.raises(ChannelError, match="row defect"):
+        fsmc.occupation._balance(ch, grid, counts / 200.0)
+    with pytest.raises(ChannelError, match="row defect"):
+        azuma_tail_check(ch, StationaryPolicy.deterministic((0, 0), 2), grid, 200, 0.2, 100, 0)

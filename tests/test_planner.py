@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import itertools
 import math
 
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsmc
+from fsmc import cli as fcli
 from fsmc import ChannelError
 from conftest import make_bsc, make_random_channel, make_z
 
@@ -21,6 +25,11 @@ SYM_C = 0.5266520663081051
 SYM_D = 4.3253604654801165
 G3_C = 0.5439675396948894
 EB_BSC_018 = 0.8981461170305075
+
+# frozen at the one-channel ascent that valued every probe whole
+CAP_PIN_SWEEP_002_SHA256 = "09c757abc4332f71a5b65695ade1a78336c01e469b8cac2647548a23e441e966"
+CAP_PIN_G3 = ("0x1.1682e9d22677bp-1", 34, 9)           # C.hex(), iterations, best_start
+CAP_PIN_S14 = ("0x1.d1f49a13ab8f2p-2", 32, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +83,32 @@ def test_capacity_isi_beats_grid_oracle():
     assert abs(res.C - G3_C) < 1e-7
     coarse = fsmc.capacity_grid_oracle(ch, 60)
     assert res.C >= coarse - 1e-9
+
+
+def _sparse14():
+    gen = np.random.default_rng(14)
+    S = 14
+    k = (gen.random((S, 2, S, 2)) + 0.05) * (gen.random((S, 2, S, 2)) < 0.35)
+    k[np.arange(S), :, (np.arange(S) + 1) % S, 0] += 0.5
+    k /= k.sum(axis=(2, 3), keepdims=True)
+    lab = lambda pre, m: tuple(f"{pre}{i}" for i in range(m))
+    return fsmc.channel_from_arrays(lab("s", S), ("0", "1"), ("u", "v"), k, np.full(S, 1.0 / S))
+
+
+@pytest.mark.parametrize("make, pin",
+                         [(lambda: fsmc.make_example(fsmc.gamma_params(0.3)), CAP_PIN_G3),
+                          (_sparse14, CAP_PIN_S14)], ids=["gamma-0.3", "sparse-14"])
+def test_capacity_pins(make, pin):
+    res = fsmc.capacity(make())
+    diag = res.solver_diagnostics
+    assert (res.C.hex(), diag["iterations"], diag["best_start"]) == pin
+
+
+def test_sweep_stdout_pin():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert fcli.main(["sweep-example", "--gamma-step", "0.02"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CAP_PIN_SWEEP_002_SHA256
 
 
 @pytest.mark.parametrize("resolution", [0, -1])

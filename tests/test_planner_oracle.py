@@ -7,6 +7,11 @@ scans all X^(2S) map pairs, valuing each pair as (mu * terms).sum(axis=1)
 with one stacked stationary solve over every f0, and keeps the first strict
 maximum in lexicographic (f0, f1) order.  The planner must reproduce them
 bit for bit on random sparse channels up to the former 10^6 caps.
+
+The capacity ascent's oracle is the former probe evaluation: every
+finite-difference probe built whole, sanitized and valued by the former
+one-channel J(pi).  Row-only probes on a stack of channels must give the
+same bits, and so must a stacked ascent and one ascent per channel.
 """
 
 from __future__ import annotations
@@ -406,3 +411,95 @@ def test_twenty_identical_inputs_tie_everywhere():
     assert res.D.to_float() == 0.0
     assert res.f0 == res.f1 == (0,) * 20
     assert res.diagnostics["pairs_scanned"] < 100
+
+
+# ---------------------------------------------------------------------------
+# capacity ascent: row-only probes on stacked channels
+
+def oracle_value(kernel, pi):
+    """The former one-channel J(pi) for pi (B, S, X), rows sanitized first."""
+    pi = np.clip(pi, 0.0, None)
+    pi = pi / pi.sum(axis=-1, keepdims=True)
+    plnp = np.where(kernel > 0.0, kernel * np.log(np.maximum(kernel, 1e-300)), 0.0)
+    q = np.einsum("bsx,sxvy->bsvy", pi, kernel)
+    lnq = np.log(np.maximum(q, 1e-300))
+    plnq = np.einsum("sxvy,bsvy->bsx", kernel, lnq)
+    inner = plnp.sum(axis=(2, 3))[None, :, :] - plnq
+    c = np.where(pi > 0.0, pi * inner, 0.0).sum(axis=2)
+    mu = fsmc.stationary_measure(np.einsum("bsx,sxv->bsv", pi, kernel.sum(axis=3)))
+    return (mu * c).sum(axis=1)
+
+
+def oracle_probe_values(kernel, pi, fd):
+    """Every central-difference probe of pi (B, S, X) built whole: entry (s, x)
+    moved by +fd, then by -fd; valued as (S, X, 2, B)."""
+    B, S, X = pi.shape
+    probes = np.repeat(pi[None], 2 * S * X, axis=0).reshape(S, X, 2, B, S, X)
+    for s in range(S):
+        for x in range(X):
+            probes[s, x, 0, :, s, x] += fd
+            probes[s, x, 1, :, s, x] -= fd
+    return oracle_value(kernel, probes.reshape(-1, S, X)).reshape(S, X, 2, B)
+
+
+def _isi_kernel(gen, S, X, Y):
+    """Sparse kernel, about 30% zero cells, in which every map keeps s -> s+1."""
+    k = (gen.random((S, X, S, Y)) + 0.05) * (gen.random((S, X, S, Y)) >= 0.3)
+    k[np.arange(S), :, (np.arange(S) + 1) % S, gen.integers(0, Y)] += 0.3
+    return k / k.sum(axis=(2, 3), keepdims=True)
+
+
+def _starts_on_faces(gen, S, X):
+    """The ascent's starts plus points with zero and below-fd entries, where
+    the -fd probe is clipped."""
+    face = gen.random((6, S, X)) * (gen.random((6, S, X)) < 0.5)
+    face[gen.random((6, S, X)) < 0.2] = 5e-7
+    face[:, :, 0] += 1e-3
+    face /= face.sum(axis=2, keepdims=True)
+    return np.concatenate([fsmc.planner._starting_points(S, X), face])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_probe_values_match_full_probes(seed):
+    gen = np.random.default_rng([seed, 41])
+    X = 2 + seed % 2
+    S = int(gen.integers(2, 15))
+    Y = int(gen.integers(1, 4))
+    kernels = np.stack([_isi_kernel(gen, S, X, Y) for _ in range(3)])
+    pi = np.stack([_starts_on_faces(gen, S, X) for _ in range(3)])
+    assert ((pi > 0.0) & (pi < 1e-6)).any() and (pi == 0.0).any()
+    ev = fsmc.planner._Evaluator(kernels)
+    got = ev.probe_values(pi, 1e-6)
+    assert _bits(ev.value(pi)) == _bits([oracle_value(k, p) for k, p in zip(kernels, pi)])
+    for g in range(3):
+        assert _bits(got[g]) == _bits(oracle_probe_values(kernels[g], pi[g], 1e-6)), (seed, g)
+
+
+def _same_capacity(a, b):
+    return (_bits(a.C) == _bits(b.C)
+            and _bits(a.optimal_policy.matrix()) == _bits(b.optimal_policy.matrix())
+            and _bits(a.ergodic_measure) == _bits(b.ergodic_measure)
+            and a.solver_diagnostics == b.solver_diagnostics)
+
+
+def test_stacked_sweep_capacities_match_single_ascents(monkeypatch):
+    chs = [fsmc.make_example(fsmc.gamma_params(0.02 * k)) for k in range(1, 50)]
+    singles = [fsmc.capacity(ch) for ch in chs]
+    assert all(map(_same_capacity, fsmc.planner._capacities(chs), singles))
+    monkeypatch.setattr(fsmc.planner, "_STACK", 5)
+    assert all(map(_same_capacity, fsmc.planner._capacities(chs[::-1]), singles[::-1]))
+
+
+def test_mixed_stack_matches_single_ascents():
+    """Several shapes, no-ISI channels among ISI ones, and ISI channels of one
+    shape that stop at different iterations, stacked in both orders."""
+    chs = [sparse_channel(seed) for seed in (1, 5, 8, 12, 14, 17, 18, 22, 45, 49, 51, 53, 55)]
+    singles = [fsmc.capacity(ch) for ch in chs]
+    stops = {}
+    for ch, r in zip(chs, singles):
+        if r.solver_diagnostics["method"] == "multistart_projected_ascent":
+            stops.setdefault(ch.kernel.shape, set()).add(r.solver_diagnostics["iterations"])
+    assert len(stops) >= 4 and sum(len(v) > 1 for v in stops.values()) >= 3
+    assert any(r.solver_diagnostics["method"] == "per_state_fixed_point" for r in singles)
+    assert all(map(_same_capacity, fsmc.planner._capacities(chs), singles))
+    assert all(map(_same_capacity, fsmc.planner._capacities(chs[::-1]), singles[::-1]))
