@@ -172,17 +172,28 @@ def _starting_points(S, X):
 
 def _pgd_capacity(chs, max_iters=600, fd_step=1e-6):
     """Multi-start projected ascent on a stack of same-shape ISI channels, every
-    (channel, start) with its own step and stall; one (policy, diag) per channel."""
+    (channel, start) with its own step and stall; one (policy, diag) per channel.
+    A channel leaves the stack at the first iteration with none of its starts active."""
     ev = _Evaluator(np.stack([ch.kernel for ch in chs]))
     pi = np.repeat(_starting_points(*ev.P.shape[1:3])[None], len(chs), axis=0)
     G, B = pi.shape[:2]
     step, stall, active = np.full((G, B), 0.25), np.zeros((G, B), int), np.ones((G, B), bool)
     j_cur = ev.value(pi)
-    iters = np.full(G, max_iters)      # the loop index at which each channel's last start stopped
-    for it in range(1, max_iters + 1):
-        iters[(iters == max_iters) & ~active.any(axis=1)] = it
-        if not active.any():
-            break
+    out, live = [None] * G, np.arange(G)     # live: the channels still in the stack
+    for it in range(1, max_iters + 2):       # at max_iters + 1 every channel leaves
+        done = ~active.any(axis=1) | (it > max_iters)
+        for k, best in zip(np.flatnonzero(done), np.argmax(j_cur[done], axis=1)):
+            raw = np.where(pi[k, best] < 1e-12, 0.0, pi[k, best])
+            diag = {"method": "multistart_projected_ascent", "starts": int(B),
+                    "iterations": min(it, max_iters), "best_start": int(best),
+                    "batch_objective_nats": float(j_cur[k, best])}
+            out[live[k]] = StationaryPolicy.from_matrix(raw / raw.sum(axis=1, keepdims=True)), diag
+        if done.any():
+            live, pi, j_cur, step, stall, active = (
+                a[~done] for a in (live, pi, j_cur, step, stall, active))
+            ev = _Evaluator(ev.P[~done])
+        if not live.size:
+            return out
         j_probe = ev.probe_values(pi, fd_step)           # (G, S, X, 2, B)
         grad = ((j_probe[:, :, :, 0] - j_probe[:, :, :, 1]) / (2.0 * fd_step)).transpose(0, 3, 1, 2)
         cand = _project_simplex(pi + step[:, :, None, None] * grad)
@@ -197,14 +208,6 @@ def _pgd_capacity(chs, max_iters=600, fd_step=1e-6):
         stall[better & (gain > _ASCENT_TOL)] = 0
         stall[active & ((gain <= _ASCENT_TOL) | worse)] += 1
         active &= (stall < 12) & (step > 1e-14)
-    out = []
-    for g, best in enumerate(np.argmax(j_cur, axis=1)):
-        raw = np.where(pi[g, best] < 1e-12, 0.0, pi[g, best])
-        diag = {"method": "multistart_projected_ascent", "starts": int(B),
-                "iterations": int(iters[g]), "best_start": int(best),
-                "batch_objective_nats": float(j_cur[g, best])}
-        out.append((StationaryPolicy.from_matrix(raw / raw.sum(axis=1, keepdims=True)), diag))
-    return out
 
 
 def _capacities(chs):

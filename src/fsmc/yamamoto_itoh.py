@@ -32,7 +32,7 @@ from .channel import ChannelError
 from .planner import BurnashevResult, CapacityResult, burnashev_coefficient, capacity
 
 MESSAGE_CAP = 1 << 16
-_MESSAGE_BLOCK = 4096             # codewords per block: drawn, and one-hot in the decode screen
+_MESSAGE_BLOCK = 4096             # codewords per block: drawn, and indicator in the decode screen
 _SCORE_BLOCK = 1 << 20            # float32 entries per score and per-use block
 _POOL = 1 << 12                   # trials simulate steps at once: its working set
 
@@ -181,10 +181,14 @@ def _phase1_batch(scheme, w, s0, u):
     return _decode(scheme, ss, obs, w), s, ss
 
 
-def _exact_scores(scheme, ss, obs, w):
-    """Per row, the in-order (cumsum) sum of _logk[s_t, cb[w, t, s_t], obs_t]."""
+def _exact_scores(scheme, ss, obs, w, table=None):
+    """Per row, the in-order (cumsum) sum of table[s_t, cb[w, t, s_t], obs_t] (table: _logk)."""
     x = scheme.codebook[w[:, None], np.arange(ss.shape[1]), ss]
-    return np.cumsum(scheme._logk[ss, x, obs], axis=1)[:, -1]
+    return np.cumsum((scheme._logk if table is None else table)[ss, x, obs], axis=1)[:, -1]
+
+
+def _screen_width(scheme, n_hat):
+    return n_hat * scheme._S * (scheme._X - 1)      # _decode's product: use, state, input > 0
 
 
 def _decode(scheme, ss, obs, hint):
@@ -197,42 +201,45 @@ def _decode(scheme, ss, obs, hint):
     trials (inner) keeps every (trial, w) that could be such a maximum, and
     only trials left with several are rescored by the rule, so neither block
     sizes nor BLAS rounding can change a decode, and memory is set by the
-    block constants.  The exact score of hint (the codeword sent) seeds each
-    trial's running maximum.
+    block constants.  The screen scores against input 0.  With l = _logk
+    clamped below at F = n_hat * min(finite _logk) - 1, a score less the
+    sum of l[s_t, 0, o_t] (common to all codewords) is the sum of delta =
+    l[s_t, x_t, o_t] - l[s_t, 0, o_t], zero where x_t = 0.  The clamp hides
+    no winner: the sent codeword hint scores at least n_hat * min(finite
+    _logk) > F, one with an impossible use at most F.  The float64 delta-sum
+    of hint seeds each trial's running maximum.
     """
     cb, (b, n_hat), S, X = scheme.codebook, ss.shape, scheme._S, scheme._X
-    w_total, k = cb.shape[0], n_hat * S * X
+    w_total, k, n_cells = cb.shape[0], _screen_width(scheme, n_hat), S * scheme._Y
     m_blk = min(_MESSAGE_BLOCK, w_total)
     t_blk = max(1, _SCORE_BLOCK // max(m_blk, k))
-    # Every per-use term is <= 0 and enters the product times 1 or 0, so in
-    # any summation order a screen score and the float64 left-to-right sum
-    # both lie within about n_hat*eps/2 * |exact sum| of the exact sum (eps
-    # of float32).  The winner's screen score is then at most about
-    # n_hat*eps*|m| below a running maximum m: the slack tol*(1+|m|) has a
-    # fourfold margin.  m - tol*(1+|m|) grows with m, so a maximum still
-    # rising never drops the winner either.
-    tol = 4.0 * (n_hat + 2) * float(np.finfo(np.float32).eps)
-    best = _exact_scores(scheme, ss, obs, hint)
-    # row s*SY + o holds the per-use scores (s', x), zero unless s' = s
-    per_use = np.zeros((S, S * scheme._Y, S, X), dtype=np.float32)
-    per_use[np.arange(S), :, np.arange(S), :] = scheme._logk.transpose(0, 2, 1)
-    per_use = per_use.reshape(-1, S * X)
-    e = np.empty((m_blk, n_hat, S, X), dtype=np.float32)
-    cells = np.empty((m_blk, n_hat, S), dtype=np.intp)  # reused: take is slow on int8
+    ell = np.maximum(scheme._logk, n_hat * scheme._logk[scheme._logk > -1e18].min() - 1.0)
+    delta = ell - ell[:, :1]                        # (S, X, SY), zero at input 0
+    # A screen score sums at most n_hat nonzero products of a float32 delta
+    # and 1, signed, so in any order it lies within about (n_hat + 1) * eps/2
+    # * n_hat * max|delta| of the exact sum (eps of float32; float64 sums are
+    # far closer).  The winner's screen score is then at most twice that below
+    # a running maximum: tol has a fourfold margin, and its + 1 covers float64.
+    tol = 4.0 * (n_hat + 2) * float(np.finfo(np.float32).eps) * (n_hat * np.abs(delta).max() + 1.0)
+    best = _exact_scores(scheme, ss, obs, hint, delta)
+    # row s*SY + o holds delta[s, x, o] at column (s', x - 1), zero unless s' = s
+    per_use = np.zeros((S, n_cells, S, X - 1), dtype=np.float32)
+    per_use[np.arange(S), :, np.arange(S), :] = delta[:, 1:].transpose(0, 2, 1)
+    per_use = per_use.reshape(-1, S * (X - 1))
+    e = np.empty((m_blk, n_hat, S, X - 1), dtype=np.float32)
     found = []
     for lo_w in range(0, w_total, m_blk):
         m = min(m_blk, w_total - lo_w)
-        np.copyto(cells[:m], cb[lo_w:lo_w + m])
-        np.take(np.eye(X, dtype=np.float32), cells[:m], axis=0, out=e[:m])
+        np.equal(cb[lo_w:lo_w + m, :, :, None], np.arange(1, X, dtype=cb.dtype), out=e[:m])
         e_t = e[:m].reshape(m, k).T
         for lo_t in range(0, b, t_blk):
             rows = slice(lo_t, lo_t + t_blk)
-            sc = per_use[ss[rows] * (S * scheme._Y) + obs[rows]].reshape(-1, k) @ e_t
+            sc = per_use[ss[rows] * n_cells + obs[rows]].reshape(-1, k) @ e_t
             top, floor = sc.max(axis=1), best[rows]
-            hot = np.flatnonzero(top >= floor - tol * (1.0 - floor))   # hold candidates
+            hot = np.flatnonzero(top >= floor - tol)   # hold candidates
             top = best[hot + lo_t] = np.maximum(floor[hot], top[hot])
             sc = sc[hot]
-            flat = np.flatnonzero(sc >= (top - tol * (1.0 - top))[:, None])
+            flat = np.flatnonzero(sc >= (top - tol)[:, None])
             r, c = divmod(flat, m)
             found.append((hot[r] + lo_t, c + lo_w))
     trial, cand = map(np.concatenate, zip(*found))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -154,6 +155,26 @@ def test_simulate_jobs_invariant_with_likelihood_ties(bsc_file):
     b = run_cli("simulate", bsc_file, *args, "--jobs", "8", check=True)
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["mean_epochs"] == 1.16705
+
+
+# frozen stdout at the 65536-message cap: 300 trials, seed 5, one full-size screen
+CAP_PINS = [
+    ("bsc_file", ("--rate", "0.18", "--gamma", "0.6", "--n", "80"), 1.01333333, 0.0131578947,
+     "46f75d6b1386d79e7a6a00540c66eb92e0238cb932bfabfe582e6b6fee60bf67"),
+    ("z_file", ("--rate", "0.2", "--gamma", "0.7", "--n", "60"), 1.09666667, 0.0881458967,
+     "ee64af831819608c1a740e1fc7fa760b72fc6da1cdb58c8f968c6a0497f14f2e"),
+]
+
+
+@pytest.mark.parametrize("fixture, args, mean_epochs, phase1_error_rate, digest", CAP_PINS)
+def test_simulate_frozen_pin_at_the_message_cap(request, fixture, args, mean_epochs,
+                                                phase1_error_rate, digest):
+    proc = run_cli("simulate", request.getfixturevalue(fixture), *args, "--trials", "300",
+                   "--seed", "5", check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["message_count"] == 65536
+    assert (doc["mean_epochs"], doc["phase1_error_rate"]) == (mean_epochs, phase1_error_rate)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_simulate_gamma_below_ratio_fails(bsc_file):

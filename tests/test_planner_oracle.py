@@ -483,9 +483,21 @@ def _same_capacity(a, b):
 
 
 def test_stacked_sweep_capacities_match_single_ascents(monkeypatch):
+    """The sweep's channels stop at different iterations; each leaves the
+    stack when it stops, so the stack probes a channel once per iteration
+    before its own stop and matches the single ascents bit for bit."""
     chs = [fsmc.make_example(fsmc.gamma_params(0.02 * k)) for k in range(1, 50)]
     singles = [fsmc.capacity(ch) for ch in chs]
-    assert all(map(_same_capacity, fsmc.planner._capacities(chs), singles))
+    stops = [r.solver_diagnostics["iterations"] for r in singles
+             if r.solver_diagnostics["method"] == "multistart_projected_ascent"]
+    assert len(set(stops)) >= 5 and max(stops) < 600
+    probed = []
+    probe = fsmc.planner._Evaluator.probe_values
+    with monkeypatch.context() as mp:
+        mp.setattr(fsmc.planner._Evaluator, "probe_values",
+                   lambda ev, pi, fd: probed.append(pi.shape[0]) or probe(ev, pi, fd))
+        assert all(map(_same_capacity, fsmc.planner._capacities(chs), singles))
+    assert sum(probed) == sum(stop - 1 for stop in stops)
     monkeypatch.setattr(fsmc.planner, "_STACK", 5)
     assert all(map(_same_capacity, fsmc.planner._capacities(chs[::-1]), singles[::-1]))
 

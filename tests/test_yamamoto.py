@@ -188,8 +188,9 @@ BLOCKS = (1, 2, 7, 256, None)                        # None: one block holds all
 
 def _decode_in_blocks(monkeypatch, scheme, ss, obs, hint, m_blk, t_blk):
     """yi._decode with message blocks of m_blk codewords and trial blocks of
-    t_blk trials (the trial block follows from _SCORE_BLOCK)."""
-    w_total, k = scheme.codebook.shape[0], ss.shape[1] * scheme._S * scheme._X
+    t_blk trials (the trial block follows from _SCORE_BLOCK and the screen
+    width, which _decode takes from _screen_width)."""
+    w_total, k = scheme.codebook.shape[0], yi._screen_width(scheme, ss.shape[1])
     m = w_total if m_blk is None else m_blk
     t = ss.shape[0] if t_blk is None else t_blk
     with monkeypatch.context() as mp:
@@ -230,26 +231,155 @@ def _tie_rich_bsc(gen, trials):
     return scheme, ss, obs, gen.integers(len(words), size=trials)
 
 
+def _tie_rich_long_bsc(gen, trials):
+    """BSC(0.1) with 48 data uses, where screen sums and their float32
+    rounding are largest: for each observed word, three codewords two flips
+    away at different places and a copy of one of them, plus random words.
+    The three tie in exact arithmetic, and their left-to-right float sums
+    are sometimes equal and sometimes apart by rounding."""
+    scheme = _bsc_scheme(n=80, rate=0.05, gamma=0.6)
+    n_hat = scheme.config.n_hat
+    obs = gen.integers(2, size=(trials, n_hat))
+    words = []
+    for t in range(trials):
+        for _ in range(3):
+            words.append(obs[t].copy())
+            words[-1][gen.choice(n_hat, 2, replace=False)] ^= 1
+        words.append(words[-3])
+    words = np.concatenate([words, gen.integers(2, size=(40, n_hat))])
+    scheme._codebook = words[gen.permutation(len(words))].astype(np.int8)[:, :, None]
+    ss = np.zeros((trials, n_hat), dtype=np.int64)
+    return scheme, ss, obs, gen.integers(len(words), size=trials)
+
+
+def _sparse_by_input(seed, S, X, Y):
+    """Random channel whose zero (next state, output) cells depend on the
+    input, so an observation can rule out some inputs and not others; every
+    input keeps s -> s+1 alive, so every policy's chain is irreducible."""
+    gen = np.random.default_rng([seed, S, X, Y])
+    k = (gen.random((S, X, S, Y)) + 0.05) * (gen.random((S, X, S, Y)) < 0.6)
+    k[np.arange(S), :, (np.arange(S) + 1) % S, 0] += 0.2
+    k /= k.sum(axis=(2, 3), keepdims=True)
+    labels = lambda pre, m: tuple(f"{pre}{i}" for i in range(m))
+    return fsmc.channel_from_arrays(labels("s", S), labels("x", X), labels("y", Y), k,
+                                    np.full(S, 1.0 / S))
+
+
+def _swapped_z():
+    """make_z with its inputs swapped: output 1 rules out input 1."""
+    return fsmc.channel_from_arrays(("s",), ("0", "1"), ("0", "1"),
+                                    [[[[0.3, 0.7]], [[1.0, 0.0]]]], [1.0])
+
+
+def _sampled_case(monkeypatch, ch, n, seed, trials=40):
+    cfg = SchemeConfig(rate=0.3 * fsmc.capacity(ch).C, gamma=0.6, n=n, seed=seed)
+    scheme = fsmc.build_scheme(ch, cfg)
+    return (scheme, *_sampled_inputs(monkeypatch, scheme, trials, seed))
+
+
 def test_decode_does_not_depend_on_block_size(monkeypatch):
     """Every combination of message and trial blocks decodes exactly as the
-    pure-Python rule: on tie-rich BSC codebooks, on a random sparse ISI
-    channel and on Z, whose -1e18 cells (impossible transitions) never win."""
+    pure-Python rule: on tie-rich BSC codebooks (at 6 and at 48 data uses),
+    on random sparse ISI channels with two and three inputs (one and two
+    indicator columns), and on Z both ways round, whose -1e18 cells
+    (impossible transitions) never win.  In make_z output 1 rules out input
+    0, so the clamped cell is in every codeword's common part and delta is
+    positive; in the swapped Z it rules out input 1 and delta is negative."""
     gen = np.random.default_rng(8)
     sparse = _sparse_channel(0)
-    cases = [_tie_rich_bsc(gen, 40), _tie_rich_bsc(gen, 40)]
+    cases = [_tie_rich_bsc(gen, 40), _tie_rich_bsc(gen, 40), _tie_rich_long_bsc(gen, 40)]
     for ch, cfg in ((sparse, SchemeConfig(rate=0.05, gamma=0.8, n=60, seed=2)),
-                    (make_z(), SchemeConfig(rate=0.2, gamma=0.6, n=30, seed=3))):
+                    (make_z(), SchemeConfig(rate=0.2, gamma=0.6, n=30, seed=3)),
+                    (_swapped_z(), SchemeConfig(rate=0.2, gamma=0.6, n=30, seed=4))):
         scheme = fsmc.build_scheme(ch, cfg)
         cases.append((scheme, *_sampled_inputs(monkeypatch, scheme, 40, cfg.seed)))
-    z_scheme = cases[-1][0]
-    assert z_scheme.codebook.shape[0] == 403 and (z_scheme._logk == -1e18).any()
+    cases.append(_sampled_case(monkeypatch, _sparse_by_input(1, 3, 3, 2), 30, 5))
+    for scheme in (cases[-3][0], cases[-2][0]):
+        assert scheme.codebook.shape[0] == 403 and (scheme._logk == -1e18).any()
+    assert cases[-1][0]._X == 3 and (cases[-1][0]._logk == -1e18).any()
     for scheme, ss, obs, hint in cases:
         want = [_brute_force_ml(scheme, st, oo) for st, oo in zip(ss.tolist(), obs.tolist())]
         for m_blk in BLOCKS:
             for t_blk in BLOCKS:
                 got = _decode_in_blocks(monkeypatch, scheme, ss, obs, hint, m_blk, t_blk)
-                assert got == want, (scheme.ch.n_states, m_blk, t_blk)
+                assert got == want, (scheme.ch.n_states, scheme._X, m_blk, t_blk)
         assert (yi._exact_scores(scheme, ss, obs, np.array(want)) > -1e17).all()
+
+
+def _decode_keeping(monkeypatch, scheme, ss, obs, hint, m_blk=None, t_blk=None):
+    """_decode_in_blocks, and per trial the candidates that the screen handed
+    to the exact rescoring (none if it left the trial one candidate)."""
+    trial_of = {row.tobytes(): t for t, row in enumerate(np.concatenate([ss, obs], axis=1))}
+    kept = [set() for _ in range(ss.shape[0])]
+    rescore = yi._exact_scores
+
+    def spy(scheme_, ss_, obs_, w, table=None):
+        if table is None:                           # the rescoring, not the seed
+            for row, c in zip(np.concatenate([ss_, obs_], axis=1), w.tolist()):
+                kept[trial_of[row.tobytes()]].add(c)
+        return rescore(scheme_, ss_, obs_, w, table)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(yi, "_exact_scores", spy)
+        return _decode_in_blocks(monkeypatch, scheme, ss, obs, hint, m_blk, t_blk), kept
+
+
+def _all_scores(scheme, ss, obs):
+    """The rule's score of every codeword for every trial, (trials, messages)."""
+    trials, words = ss.shape[0], scheme.codebook.shape[0]
+    return yi._exact_scores(scheme, np.repeat(ss, words, axis=0), np.repeat(obs, words, axis=0),
+                            np.tile(np.arange(words), trials)).reshape(trials, words)
+
+
+def test_decode_screen_keeps_every_exact_maximum(monkeypatch):
+    """At 48 data uses, in every block combination, each trial's screen keeps
+    every codeword whose rule score equals the trial's maximum: a trial with
+    one exact maximum decodes to it, and a trial with several hands them all
+    to the exact rescoring."""
+    scheme, ss, obs, hint = _tie_rich_long_bsc(np.random.default_rng(5), 40)
+    scores = _all_scores(scheme, ss, obs)
+    maxima = [set(np.flatnonzero(row == row.max()).tolist()) for row in scores]
+    near = (scores >= scores.max(axis=1, keepdims=True) - 1e-9).sum(axis=1)
+    assert sum(len(m) > 1 for m in maxima) >= 5
+    assert (near > np.array([len(m) for m in maxima])).sum() >= 5   # ties apart by rounding
+    for m_blk in BLOCKS:
+        for t_blk in BLOCKS:
+            got, kept = _decode_keeping(monkeypatch, scheme, ss, obs, hint, m_blk, t_blk)
+            for t, m in enumerate(maxima):
+                assert got[t] == min(m), (t, m_blk, t_blk)
+                assert len(m) == 1 or m <= kept[t], (t, m_blk, t_blk)
+
+
+def test_decode_screen_rescores_only_near_maxima_on_z(monkeypatch):
+    """Clamping the impossible cells keeps the screen's slack at the scale
+    of the finite scores: on Z both ways round, every codeword handed to the
+    exact rescoring scores within 1e-6 of its trial's maximum, so none with
+    an impossible use, and some trials do have several."""
+    for ch, seed in ((make_z(), 3), (_swapped_z(), 4)):
+        scheme = fsmc.build_scheme(ch, SchemeConfig(rate=0.2, gamma=0.6, n=30, seed=seed))
+        ss, obs, hint = _sampled_inputs(monkeypatch, scheme, 200, seed)
+        scores = _all_scores(scheme, ss, obs)
+        got, kept = _decode_keeping(monkeypatch, scheme, ss, obs, hint)
+        assert got == np.argmax(scores, axis=1).tolist()
+        assert sum(len(k) > 1 for k in kept) >= 5
+        for t, k in enumerate(kept):
+            assert (scores[t, sorted(k)] >= scores[t].max() - 1e-6).all(), (seed, t)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_decode_matches_brute_force_on_random_sparse_channels(monkeypatch, seed):
+    """Random channels of 1-4 states, 2-3 inputs and 2-3 outputs whose zero
+    cells depend on the input (redrawn while the capacity is zero, since no
+    positive rate runs there)."""
+    gen = np.random.default_rng([seed, 29])
+    while True:
+        S, X, Y = int(gen.integers(1, 5)), int(gen.integers(2, 4)), int(gen.integers(2, 4))
+        ch = _sparse_by_input(int(gen.integers(1 << 30)), S, X, Y)
+        if fsmc.capacity(ch).C > 0.0:
+            break
+    scheme, ss, obs, hint = _sampled_case(monkeypatch, ch, 24, seed)
+    want = [_brute_force_ml(scheme, st, oo) for st, oo in zip(ss.tolist(), obs.tolist())]
+    assert yi._decode(scheme, ss, obs, hint).tolist() == want
 
 
 def test_decode_ties_go_to_the_lowest_index(monkeypatch):
