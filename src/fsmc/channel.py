@@ -24,9 +24,14 @@ class ChannelError(ValueError):
 
 
 def _as_prob_vector(w, tol, what):
-    v = np.asarray(w, dtype=np.float64)
+    try:
+        v = np.asarray(w, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ChannelError(f"{what} is not a numeric vector: {exc}") from exc
     if v.ndim != 1:
         raise ChannelError(f"{what} must be a vector")
+    if not np.all(np.isfinite(v)):
+        raise ChannelError(f"{what} has non-finite entries")
     if np.any(v < 0.0):
         raise ChannelError(f"{what} has negative entries")
     if abs(float(v.sum()) - 1.0) > tol:
@@ -122,6 +127,8 @@ class ChannelSpec:
         shape = (len(states), len(inputs), len(states), len(outputs))
         if k.shape != shape:
             raise ChannelError(f"kernel shape {k.shape} != {shape}")
+        if not np.all(np.isfinite(k)):
+            raise ChannelError("kernel has non-finite entries")
         if np.any(k < 0.0):
             raise ChannelError("kernel has negative entries")
         sums = k.sum(axis=(2, 3))
@@ -162,7 +169,7 @@ def channel_from_arrays(states, inputs, outputs, kernel, initial=None, renormali
         k = k / sums[:, :, None, None]
     if initial is None:
         initial = np.full(len(states), 1.0 / len(states))
-    return ChannelSpec(tuple(states), tuple(inputs), tuple(outputs), k, np.asarray(initial))
+    return ChannelSpec(tuple(states), tuple(inputs), tuple(outputs), k, initial)
 
 
 def load_channel(path, renormalize=False) -> ChannelSpec:
@@ -174,13 +181,15 @@ def load_channel(path, renormalize=False) -> ChannelSpec:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ChannelError(f"not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ChannelError(f"not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ChannelError("top-level JSON value must be an object")
     for field in ("states", "inputs", "outputs", "kernel"):
         if field not in doc:
             raise ChannelError(f"missing field {field!r}")
+        if not isinstance(doc[field], list):
+            raise ChannelError(f"field {field!r} must be an array")
     try:
         kernel = np.asarray(doc["kernel"], dtype=np.float64)
     except (TypeError, ValueError) as exc:

@@ -161,18 +161,16 @@ def cmd_simulate(args) -> int:
                        seed=args.seed, confirm_threshold=args.threshold,
                        max_epochs=args.max_epochs)
     scheme = build_scheme(ch, cfg)
-    sink = None
-    rows = []
-    if args.trace:
-        def sink(trial, tr):
-            rows.append((trial, tr))
-    report = simulate(scheme, trace_sink=sink, jobs=args.jobs)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("trial,epoch,decoded,correct,sent_bit,decided_bit,llr\n")
-            for trial, tr in rows:
+
+            def sink(trial, tr):
                 fh.write(f"{trial},{tr.epoch},{tr.decoded},{int(tr.phase1_correct)},"
                          f"{tr.sent_bit},{tr.decided_bit},{_fmt(tr.llr)}\n")
+            report = simulate(scheme, trace_sink=sink, jobs=args.jobs)
+    else:
+        report = simulate(scheme, jobs=args.jobs)
     doc = report.to_json_dict()
     doc["message_count"] = cfg.message_count
     doc["n_hat"] = cfg.n_hat

@@ -32,6 +32,7 @@ _START_SEED = 2718281828459045  # fixed: `capacity` takes no seed and must be re
 _N_STARTS = 16                  # ascent starting points
 _ASCENT_TOL = 1e-10             # a gain at most this counts toward a start's stall
 _STACK = 64                     # most channels one stacked ascent holds: memory stays bounded
+GRID_ORACLE_MAX_POLICIES = 10 ** 7   # most policies capacity_grid_oracle scores, each a few us
 
 
 @dataclass(frozen=True)
@@ -250,13 +251,18 @@ def capacity_grid_oracle(ch, resolution: int) -> float:
     """Brute-force certified lower bound: exhaustive product grid search.
 
     Each state's input simplex is covered by the lattice of denominators
-    `resolution` >= 1; feasible only for |S| * (|X| - 1) <= 4.
+    `resolution` >= 1; feasible only for |S| * (|X| - 1) <= 4 and at most
+    GRID_ORACLE_MAX_POLICIES policies, comb(resolution + |X| - 1, |X| - 1)^|S|.
     """
     if resolution < 1:
         raise ChannelError("grid resolution must be at least 1")
     S, X = ch.n_states, ch.n_inputs
     if S * (X - 1) > 4:
         raise ChannelError("grid oracle limited to |S|*(|X|-1) <= 4")
+    policies = math.comb(resolution + X - 1, X - 1) ** S
+    if policies > GRID_ORACLE_MAX_POLICIES:
+        raise ChannelError(f"grid resolution {resolution} gives {policies} policies "
+                           f"(> {GRID_ORACLE_MAX_POLICIES})")
     grid = np.array([
         np.array(c, dtype=np.float64) / resolution
         for c in itertools.product(range(resolution + 1), repeat=X)

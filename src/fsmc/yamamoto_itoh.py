@@ -8,7 +8,8 @@ f1 = deny).  The receiver thresholds the log-likelihood ratio of the observed
 (state, output) transitions; a deny repeats the epoch with the channel state
 carried over.  Decoding errors require a deny to slip past the verifier, so
 the error exponent is governed by the divergence coefficient D rather than
-the sphere-packing bound.
+the sphere-packing bound.  When D = +inf the threshold is +inf: a confirm is
+accepted only on a transition the deny map cannot produce, whose LLR is +inf.
 
 All randomness is drawn from per-trial Philox substreams (seed, trial):
 trial t reads stream offsets 0-1 (message, initial state) and offsets
@@ -17,7 +18,7 @@ _POOL trials as rows of arrays, admitting trial ids in order as others stop,
 and reads each row's window by counter; the data phase decodes by a rule
 that no block size or batch shape can change (_decode), so a report never
 depends on how work is scheduled, and memory is set by _POOL and the decode
-block constants plus 17 bytes a trial-epoch (see simulate).
+block constants plus 18 bytes a trial-epoch (see simulate).
 """
 from __future__ import annotations
 
@@ -61,8 +62,8 @@ class SchemeConfig:
     n_tilde: int = field(init=False)
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ChannelError("rate must be positive")
+        if not (math.isfinite(self.rate) and self.rate > 0.0):
+            raise ChannelError("rate must be positive and finite")
         if not 0.0 < self.gamma < 1.0:
             raise ChannelError("gamma must lie in (0, 1)")
         if self.trials < 1 or self.max_epochs < 1:
@@ -98,6 +99,10 @@ class Scheme:
         self.capacity_result = cap_result
         self.exponent_result = exp_result
         self.confirm_threshold = threshold          # None only when D = +inf
+        self.infinite_d = exp_result.D.is_inf
+        # accept iff llr / n_tilde >= this: with D = +inf only an LLR of +inf,
+        # a transition the deny map cannot produce (draws never pick p = 0)
+        self._accept_at = math.inf if self.infinite_d else threshold
         S, X, Y = ch.n_states, ch.n_inputs, ch.n_outputs
         self._S, self._X, self._Y = S, X, Y
         k = ch.kernel
@@ -115,11 +120,8 @@ class Scheme:
         llr[(p0 > 0.0) & (p1 == 0.0)] = math.inf
         llr[(p0 == 0.0) & (p1 > 0.0)] = -math.inf
         self._llr_tab = llr
-        self._forbid = p1 == 0.0                    # deny-impossible transitions
         # the same tables as nested lists, for one trial at a time (_phase2_one)
-        self._lists = tuple(a.tolist() for a in (self._verify_cdf, self._verify_last, llr,
-                                                 self._forbid))
-        self.infinite_d = exp_result.D.is_inf
+        self._lists = tuple(a.tolist() for a in (self._verify_cdf, self._verify_last, llr))
         self._codebook = None
 
     # -- lazy codebook ------------------------------------------------------
@@ -156,7 +158,7 @@ def build_scheme(ch, config: SchemeConfig, cap_result: CapacityResult | None = N
         raise ChannelError(
             f"gamma {config.gamma} outside ({config.rate / c_val:.6g}, 1)")
     if exp_result.D.is_inf:
-        threshold = config.confirm_threshold         # unused by the zero-error rule
+        threshold = config.confirm_threshold         # reported only: the test is at +inf
     elif config.confirm_threshold is not None:
         threshold = float(config.confirm_threshold)
     else:
@@ -260,33 +262,27 @@ def _phase2_batch(scheme, bits, s0, u):
     n_tilde = scheme.config.n_tilde
     s = s0.astype(np.int64)
     llr = np.zeros(u.shape[0])
-    fired = np.zeros(u.shape[0], dtype=bool)
     for t in range(n_tilde):
         v, y = np.divmod(_rng.draw(scheme._verify_cdf[bits, s], scheme._verify_last[bits, s],
                                    u[:, t]), scheme._Y)
         if t < n_tilde - 1:                          # the last next-state is unobserved
             llr = llr + scheme._llr_tab[s, v, y]
-            fired |= scheme._forbid[s, v, y]
         s = v
-    ok = fired if scheme.infinite_d else llr / n_tilde >= scheme.confirm_threshold
-    return np.where(ok, 0, 1), s, llr
+    return np.where(llr / n_tilde >= scheme._accept_at, 0, 1), s, llr
 
 
 def _phase2_one(scheme, bit, s, u):
     """_phase2_batch for one trial in Python scalars, with the same draws and
     the same left-to-right LLR sum; returns (decided, llr, end_state)."""
-    cdf, last, tab, forbid = scheme._lists
+    cdf, last, tab = scheme._lists
     cdf, last, n_out, stop = cdf[bit], last[bit], scheme._Y, len(u) - 1
-    llr, fired = 0.0, False
+    llr = 0.0
     for t, ut in enumerate(u):
         v, y = divmod(min(bisect_right(cdf[s], ut), last[s]), n_out)
         if t < stop:                                 # the last next-state is unobserved
             llr += tab[s][v][y]
-            fired = fired or forbid[s][v][y]
         s = v
-    if scheme.infinite_d:
-        return (0 if fired else 1), llr, s
-    return (0 if llr / len(u) >= scheme.confirm_threshold else 1), llr, s
+    return (0 if llr / len(u) >= scheme._accept_at else 1), llr, s
 
 
 def _draw_initial(scheme, u):
@@ -329,19 +325,15 @@ def run_phase2(scheme, bit: int, gen, start_state: int | None = None):
 def run_trial(scheme, w: int, gen, start_state: int | None = None):
     """Epochs until a confirm is accepted; returns (traces, decoded, aborted).
 
-    Uses one uniform for the initial state (unless given) and n per epoch.
-    The channel state carries over between phases and epochs.
+    Uses one uniform for the initial state (unless given) and n per epoch:
+    each epoch is run_phase1 then run_phase2, the channel state carried over.
     """
-    cfg = scheme.config
     s = _start(scheme, gen, start_state)
     traces = []
-    w_arr = np.array([w])
-    for epoch in range(cfg.max_epochs):
-        u = gen.random((1, cfg.n))
-        decoded, s_mid, _ = _phase1_batch(scheme, w_arr, np.array([s]), u[:, :cfg.n_hat])
-        decoded = int(decoded[0])
+    for epoch in range(scheme.config.max_epochs):
+        decoded, states = run_phase1(scheme, w, gen, s)
         sent = int(decoded != w)
-        decided, llr, s = _phase2_one(scheme, sent, int(s_mid[0]), u[0, cfg.n_hat:].tolist())
+        decided, llr, s = run_phase2(scheme, sent, gen, states[-1])
         traces.append(EpochTrace(epoch, decoded, sent == 0, sent, decided, llr))
         if decided == 0:
             return traces, decoded, False
@@ -396,22 +388,20 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
     trial count.  A row's uniforms are read by counter from its own
     (seed, trial) stream, and the data phase decodes by a rule that no batch
     shape can change (_decode), so every trial draws and decides the same
-    whichever rows it shares a step with.  Counts are summed as integers per
-    step and epochs used kept as a histogram.  All that grows with the trial
-    count is the trial id, sent bit and LLR of each trial-epoch (17 bytes,
-    and about 34 more while they are sorted at the end), kept so that the
-    mean LLRs are summed in (trial, epoch) order; with a trace_sink the same
-    record also holds each epoch, decode and decision, and one sort orders
-    both.
+    whichever rows it shares a step with.  All that grows with the trial
+    count is one record of each trial-epoch: trial id, sent bit, LLR and
+    decided bit (18 bytes, and about twice that while it is sorted at the end);
+    with a trace_sink it also holds the epoch and decode.  Every count is
+    read off it: epochs used per trial, the (sent, decided) tallies and the
+    aborted trials, those whose last epoch was denied; one stable sort puts
+    it in (trial, epoch) order, in which the mean LLRs are summed and traces
+    emitted.
     """
     cfg = scheme.config
     b, n, n_hat, w_total = cfg.trials, cfg.n, cfg.n_hat, cfg.message_count
     cap = min(_POOL, b)
     ids, w, s, epoch = (np.empty(cap, dtype=np.int64) for _ in range(4))
-    hist = np.zeros(cfg.max_epochs + 1, dtype=np.int64)     # trials by epochs used
-    outcomes = np.zeros(4, dtype=np.int64)     # epochs by (sent, decided) bits
-    aborted = 0
-    steps = []                       # per step: trial ids, sent bits, llr (+ trace columns)
+    steps = []                       # per step: trial ids, sent, llr, decided (+ trace columns)
     live = admitted = 0
     while live or admitted < b:
         k = min(cap - live, b - admitted)
@@ -428,33 +418,33 @@ def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
         decoded, s_mid, _ = _phase1_batch(scheme, w[pool], s[pool], u[:, 2:2 + n_hat])
         sent = (decoded != w[pool]).astype(np.int64)
         decided, s_end, llr = _phase2_batch(scheme, sent, s_mid, u[:, 2 + n_hat:])
-        outcomes += np.bincount(2 * sent + decided, minlength=4)
-        step = (ids[pool].copy(), sent.astype(np.int8), llr)
-        steps.append(step if trace_sink is None else step + (epoch[pool].copy(), decoded, decided))
+        step = (ids[pool].copy(), sent.astype(np.int8), llr, decided.astype(np.int8))
+        steps.append(step if trace_sink is None else step + (epoch[pool].copy(), decoded))
         epoch[pool] += 1
         going = (decided != 0) & (epoch[pool] < cfg.max_epochs)
-        hist += np.bincount(epoch[pool][~going], minlength=hist.size)
-        aborted += int((decided[~going] != 0).sum())
         live = int(going.sum())      # keep the survivors in order, at the front
         for a, v in ((ids, ids[pool]), (w, w[pool]), (s, s_end), (epoch, epoch[pool])):
             a[:live] = v[going]
-    trial, sent, llr, *traced = map(np.concatenate, zip(*steps))
+    trial, sent, llr, decided, *traced = map(np.concatenate, zip(*steps))
     steps.clear()
+    hist = np.bincount(np.bincount(trial))           # trials by epochs used
+    outcomes = np.bincount(2 * sent + decided, minlength=4)   # epochs by (sent, decided)
+    ack_taken, ack_denied, deny_acked, deny_denied = outcomes.tolist()
+    aborted = b - ack_taken - deny_acked   # a trial stops at its one accepted epoch, if any
     order = np.argsort(trial, kind="stable")         # step-major -> (trial, epoch)
     sent, llr = sent[order], llr[order]
     if trace_sink is not None:
-        rows = (a[order].tolist() for a in (trial, *traced))
+        rows = (a[order].tolist() for a in (trial, *traced, decided))
         for t, e, d, y, x, v in zip(*rows, sent.tolist(), llr.tolist()):
             trace_sink(t, EpochTrace(e, d, x == 0, x, y, v))
     # per-symbol LLR means in (trial, epoch) order, so the float sums keep that order
     per_symbol = llr / (cfg.n_tilde - 1)
     llr_h0 = per_symbol[sent == 0]
     llr_h1 = per_symbol[sent == 1]
-    ack_taken, ack_denied, deny_acked, deny_denied = outcomes.tolist()
     ack_sends, ph1_errors = ack_taken + ack_denied, deny_acked + deny_denied
     decodes = ack_sends + ph1_errors
     errors = deny_acked + aborted                    # a wrong message confirmed, or none
-    mean_epochs = int(hist @ np.arange(hist.size)) / b
+    mean_epochs = trial.size / b
     mean_t = n * mean_epochs
     return SimReport(
         trials=b,

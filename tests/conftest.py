@@ -60,6 +60,20 @@ def make_random_channel(seed: int, n_states: int = 2, n_inputs: int = 2,
                                     labels("y", n_outputs), k, init)
 
 
+def make_sparse_zero_error(seed: int = 0) -> fsmc.ChannelSpec:
+    """Random 3-state channel whose zero (next state, output) cells depend on
+    the input, so the next state depends on it too (ISI) and, at seed 0, the
+    divergence coefficient is +inf; a cycle a -> b -> c -> a on output 0
+    keeps every row and chain alive."""
+    gen = np.random.default_rng(seed)
+    k = gen.random((3, 2, 3, 2)) + 0.05
+    k *= (gen.random((3, 2, 3, 2)) < 0.6)
+    k[:, :, (np.arange(3) + 1) % 3, 0] += 0.2
+    k /= k.sum(axis=(2, 3), keepdims=True)
+    return fsmc.channel_from_arrays(("a", "b", "c"), ("0", "1"), ("0", "1"), k,
+                                    [1 / 3, 1 / 3, 1 / 3])
+
+
 @pytest.fixture()
 def bsc() -> fsmc.ChannelSpec:
     return make_bsc(0.1)

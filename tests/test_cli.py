@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,12 +11,17 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fsmc
-from conftest import make_bsc, make_z, write_channel
+from fsmc import cli
+from conftest import make_bsc, make_sparse_zero_error, make_z, write_channel
 
 # frozen (see test_oracles)
 BSC_C = 0.36806420716849714
@@ -44,6 +50,11 @@ def z_file(tmp_path):
 def example_file(tmp_path):
     ch = fsmc.make_example(fsmc.gamma_params(0.5))
     return write_channel(tmp_path, ch, "example.json")
+
+
+@pytest.fixture()
+def sparse_inf_file(tmp_path):
+    return write_channel(tmp_path, make_sparse_zero_error(), "sparse.json")
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +212,53 @@ def test_simulate_trace_csv(bsc_file, tmp_path):
     assert {k[0] for k in keys} == set(range(200))
 
 
+# frozen stdout and --trace CSV, sha256 of each: the zero-error rule (Z and a
+# sparse 3-state ISI channel with D = +inf, the latter under a max_epochs that
+# aborts trials) and a BSC whose threshold no LLR reaches, so every trial aborts
+TRACE_PINS = [
+    ("z_file", ("--rate", "0.15", "--gamma", "0.6", "--n", "20", "--trials", "2000",
+                "--seed", "2"),
+     "3c8e5b27d0daa3c74d07dac5316b9aa6be09e69af5b1cfe51c00aeb9a658ccc0",
+     "d4eb1a97f1ad5cecd988da6aa9ecd6c3415560503ad2f6697bc3e10e3b4f5a4e"),
+    ("sparse_inf_file", ("--rate", "0.05", "--gamma", "0.6", "--n", "40", "--trials", "1000",
+                         "--seed", "5", "--max-epochs", "4"),
+     "f88b7771a1179de912ed762535f970629339aaf9590da1dc88846ab8e800bbc0",
+     "4b86b844aa033370432ae3938009c9cd62a5bba63c09da2a28de218830f02a07"),
+    ("bsc_file", ("--rate", "0.18", "--gamma", "0.6", "--n", "20", "--trials", "500",
+                  "--seed", "4", "--threshold", "10", "--max-epochs", "3"),
+     "5c7f1295d3575f68eabb90643729c03fa529bf4ccf2895da05d87b12e34a59a6",
+     "ec83198c4c1ed122e61baef0150cb85858606eb846194a6e1b5e49baa65e0b52"),
+]
+
+
+@pytest.mark.parametrize("fixture, args, out_digest, trace_digest", TRACE_PINS)
+def test_simulate_and_trace_frozen_pins(request, tmp_path, fixture, args, out_digest,
+                                        trace_digest):
+    trace = tmp_path / "trace.csv"
+    proc = run_cli("simulate", request.getfixturevalue(fixture), *args, "--trace", trace,
+                   check=True)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+
+
+def test_simulate_max_epochs_no_trial_reaches_changes_nothing(bsc_file, tmp_path):
+    """Nothing is sized by max_epochs: a cap of 10^13 reads as one of 64 when
+    no trial reaches 64 epochs."""
+    trace = tmp_path / "trace.csv"
+    a = run_cli("simulate", bsc_file, *SIM_ARGS, "--max-epochs", "64", "--trace", trace,
+                check=True)
+    assert max(int(r[1]) for r in list(csv.reader(trace.read_text().splitlines()))[1:]) < 63
+    b = run_cli("simulate", bsc_file, *SIM_ARGS, "--max-epochs", "10000000000000", check=True)
+    assert a.stdout == b.stdout
+
+
+def test_simulate_unwritable_trace_fails_with_one_error_line(bsc_file, tmp_path):
+    proc = run_cli("simulate", bsc_file, *SIM_ARGS, "--trace", tmp_path / "no" / "t.csv")
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # sweep-example
 
@@ -225,9 +283,23 @@ def test_sweep_example_rejects_bad_params():
     ("capacity", "{bsc}", "--grid", "-1"),
     ("simulate", "{bsc}", "--rate", "0.18", "--gamma", "0.6", "--n", "20",
      "--trials", "50", "--threshold", "nan"),
+    ("simulate", "{bsc}", "--rate", "inf", "--gamma", "0.6", "--n", "20", "--trials", "50"),
+    ("validate", "{nan_cell}"),
+    ("burnashev", "{nan_cell}"),
+    ("simulate", "{nan_initial}", "--rate", "0.18", "--gamma", "0.6", "--n", "20",
+     "--trials", "50"),
+    ("capacity", "{example}", "--grid", "100000"),
 ])
-def test_bad_numbers_exit_1_with_one_error_line(argv, bsc_file):
-    proc = run_cli(*(a.format(bsc=bsc_file) for a in argv))
+def test_bad_numbers_exit_1_with_one_error_line(argv, bsc_file, example_file, tmp_path):
+    paths = {"bsc": bsc_file, "example": example_file}
+    for name, at in (("nan_cell", ("kernel", 0, 0, 0)), ("nan_initial", ("initial",))):
+        doc = row = json.loads(bsc_file.read_text())
+        for key in at:
+            row = row[key]
+        row[0] = math.nan                            # json writes it as NaN
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    proc = run_cli(*(a.format(**paths) for a in argv))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -282,3 +354,89 @@ def test_missing_file_errors():
     proc = run_cli("capacity", "/nonexistent/channel.json")
     assert proc.returncode == 1
     assert proc.stderr.strip()
+
+
+# ---------------------------------------------------------------------------
+# robustness: malformed channel files and bad flag values, run in-process
+
+def _main(argv):
+    """(exit status, stdout, stderr) of cli.main; an exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:                    # argparse: a value it cannot parse
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(argv):
+    code, out, err = _main(argv)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert len(errors) == (code != 0), (argv, code, err)
+    if code == 1:
+        assert err.startswith("error:"), (argv, err)
+
+
+# every flag at a small valid value; the channel is the BSC
+_FLAGS = {
+    "simulate": {"--rate": "0.18", "--gamma": "0.6", "--n": "20", "--trials": "20",
+                 "--seed": "1", "--threshold": "-0.4", "--max-epochs": "5", "--jobs": "1"},
+    "capacity": {"--grid": "8", "--jobs": "1"},
+    "reliability": {"--points": "3"},
+    "azuma": {"--n": "20", "--eps": "0.2", "--trials": "100", "--seed": "0"},
+    "sweep-example": {"--pg": "0.001", "--pb": "0.1", "--alpha0": "0.7", "--beta0": "0.3",
+                      "--gamma-step": "0.25"},
+}
+_SIZES = {"--n", "--trials", "--points"}    # large values there cost time, not validation
+_HUGE = "10000000000000"
+_FLAG_CASES = [(cmd, flag, value) for cmd, flags in _FLAGS.items() for flag in flags
+               for value in ("nan", "inf", "-inf", "0", "-1", "-0.5", "1e300", _HUGE,
+                             "-" + _HUGE, "abc", "")
+               if not (flag in _SIZES and value == _HUGE)]
+_JUNK = st.sampled_from([math.nan, math.inf, -math.inf, "x", "0.5", None, True, -1, 2, [],
+                         [[]], {}, [0.5, [0.5]], [math.nan, 1.0], ["a", "b"]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(_FLAG_CASES))
+def test_cli_bad_flag_values_exit_cleanly(case):
+    """One bad value per numeric flag, the others valid: exit 0, 1 with one
+    error: line, or argparse's 2; never a traceback."""
+    cmd, flag, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [cmd] if cmd == "sweep-example" else [cmd, write_channel(Path(tmp), make_bsc(0.1))]
+        for f, v in _FLAGS[cmd].items():
+            argv += [f, value if f == flag else v]
+        _assert_clean_exit(argv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cmd=st.sampled_from(["validate", "capacity", "burnashev", "simulate"]),
+       key=st.sampled_from(["states", "inputs", "outputs", "kernel", "initial",
+                            "kernel cell", "kernel row", "initial cell", "utf-16"]),
+       drop=st.booleans(), junk=_JUNK)
+def test_cli_malformed_channel_files_exit_cleanly(cmd, key, drop, junk):
+    """A BSC file with one field dropped or replaced by junk (NaN, +-inf,
+    strings, ragged or empty arrays), or not in UTF-8: exit 0 or 1 with one
+    error: line."""
+    doc = {"states": ["s"], "inputs": ["0", "1"], "outputs": ["0", "1"],
+           "kernel": make_bsc(0.1).kernel.tolist(), "initial": [1.0]}
+    if key == "kernel cell":
+        doc["kernel"][0][1][0][0] = junk
+    elif key == "kernel row":
+        doc["kernel"][0][1] = junk
+    elif key == "initial cell":
+        doc["initial"][0] = junk
+    elif key in doc and drop:
+        del doc[key]
+    elif key in doc:
+        doc[key] = junk
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chan.json"
+        # NaN and Infinity as Python's json writes them
+        path.write_text(json.dumps(doc), encoding="utf-16" if key == "utf-16" else "utf-8")
+        flags = _FLAGS["simulate"].items() if cmd == "simulate" else ()
+        _assert_clean_exit([cmd, path, *(a for kv in flags for a in kv)])

@@ -12,7 +12,7 @@ import fsmc
 from fsmc import ChannelError, SchemeConfig
 from fsmc import yamamoto_itoh as yi
 from fsmc import rng as frng
-from conftest import make_bsc, make_random_channel, make_z
+from conftest import make_bsc, make_random_channel, make_sparse_zero_error, make_z
 
 # frozen (see test_oracles)
 BSC_D = 1.7577796618689758
@@ -426,8 +426,8 @@ def test_simulate_memory_does_not_grow_with_trials():
 
 def test_simulate_memory_per_trial_is_small():
     """Trials run in a fixed pool, so past it simulate keeps only the trial id,
-    sent bit and LLR of each trial-epoch (17 bytes, about 1.2 epochs a trial
-    here) and their sort at the end.  Holding every trial as a row grew about 600 bytes
+    sent bit, LLR and decided bit of each trial-epoch (18 bytes, about 1.2
+    epochs a trial here) and their sort at the end.  Holding every trial as a row grew about 600 bytes
     a trial on this example."""
     ch = fsmc.make_example(fsmc.gamma_params(0.5))
     cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
@@ -503,6 +503,48 @@ def test_phase2_one_trial_path_matches_batch_path():
                 assert repr(got) == repr(want), (i, n, threshold)
 
 
+def _forbidden_cell_rule(ch, exp, bit, s, u):
+    """The zero-error verify rule as first written, recomputed from the kernel:
+    play f_bit and accept iff a (next state, output) cell that the deny map f1
+    cannot produce was seen before the last step; returns (decided, end state)."""
+    maps, seen = (exp.f0, exp.f1), False
+    for t, ut in enumerate(u):
+        p = ch.kernel[s, maps[bit][s]].ravel()
+        cell = min(int((np.cumsum(p) <= ut).sum()), int(np.flatnonzero(p > 0.0)[-1]))
+        v, y = divmod(cell, ch.n_outputs)
+        seen = seen or (t < len(u) - 1 and ch.kernel[s, exp.f1[s], v, y] == 0.0)
+        s = v
+    return (0 if seen else 1), s
+
+
+def test_zero_error_rule_is_the_llr_test_at_infinity():
+    """With D = +inf both verify paths accept exactly when the forbidden-cell
+    rule does, also at the uniforms 0 and 1 - 2^-53."""
+    channels = [make_z()] + [make_sparse_zero_error(seed) for seed in range(4)]
+    top = 1.0 - 2.0 ** -53
+    decisions = set()
+    for i, ch in enumerate(channels):
+        cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
+        assert exp.D.is_inf
+        for n in (4, 7, 60):
+            cfg = SchemeConfig(rate=0.3 * cap.C, gamma=0.5, n=n, seed=i, confirm_threshold=-1.0)
+            scheme = fsmc.build_scheme(ch, cfg, cap, exp)
+            gen = frng.stream(i, n)
+            rows = [gen.random(cfg.n_tilde) for _ in range(60)]
+            rows += [np.zeros(cfg.n_tilde), np.full(cfg.n_tilde, top)]
+            for u in rows:
+                for bit in (0, 1):
+                    for s0 in range(ch.n_states):
+                        want = _forbidden_cell_rule(ch, exp, bit, s0, u.tolist())
+                        decided, s_end, _ = yi._phase2_batch(scheme, np.array([bit]),
+                                                             np.array([s0]), u[None, :])
+                        one = yi._phase2_one(scheme, bit, s0, u.tolist())
+                        assert (int(decided[0]), int(s_end[0])) == want, (i, n, bit)
+                        assert (one[0], one[2]) == want, (i, n, bit)
+                        decisions.add((bit, want[0]))
+    assert decisions == {(0, 0), (0, 1), (1, 1)}
+
+
 def test_phase2_zero_error_never_acks_denials():
     ch = make_z()
     scheme = fsmc.build_scheme(ch, SchemeConfig(rate=0.15, gamma=0.6, n=20))
@@ -521,6 +563,44 @@ def test_run_trial_traces_are_complete():
     for t in traces[:-1]:
         assert t.decided_bit == 1
     assert all(t.epoch == i for i, t in enumerate(traces))
+
+
+def test_run_trial_is_its_phases_in_turn():
+    """run_trial runs run_phase1 then run_phase2 on one generator, epoch after
+    epoch with the state carried over: the same traces and result as that
+    loop written out, and the generator left at the same next draw."""
+    channels = [make_bsc(0.1), make_z(), make_sparse_zero_error(),
+                fsmc.make_example(fsmc.gamma_params(0.5))]
+    outcomes = set()
+    for i, ch in enumerate(channels):
+        cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
+        for n, threshold, max_epochs in ((20, None, 64), (6, 0.3, 3)):
+            cfg = SchemeConfig(rate=0.4 * cap.C, gamma=0.6, n=n, seed=i,
+                               confirm_threshold=threshold, max_epochs=max_epochs)
+            scheme = fsmc.build_scheme(ch, cfg, cap, exp)
+            for k in range(25):
+                start, w = (None if k % 2 else k % ch.n_states), k % cfg.message_count
+                gen, ref = frng.stream(i, k), frng.stream(i, k)
+                got = fsmc.run_trial(scheme, w, gen, start)
+                traces, s = [], start
+                for epoch in range(max_epochs):
+                    decoded, states = fsmc.run_phase1(scheme, w, ref, s)
+                    sent = int(decoded != w)
+                    decided, llr, s = fsmc.run_phase2(scheme, sent, ref, states[-1])
+                    traces.append(yi.EpochTrace(epoch, decoded, sent == 0, sent, decided, llr))
+                    if decided == 0:
+                        break
+                assert repr(got) == repr((traces, decoded, decided != 0)), (i, n, k)
+                assert gen.random() == ref.random()
+                outcomes.add((got[2], len(got[0]) > 1))
+    assert outcomes == {(False, False), (False, True), (True, True)}
+
+
+def test_run_trial_rejects_out_of_range_message():
+    scheme = _bsc_scheme()
+    for w in (-1, scheme.config.message_count):
+        with pytest.raises(ChannelError):
+            fsmc.run_trial(scheme, w, frng.stream(0, 0))
 
 
 # ---------------------------------------------------------------------------
