@@ -107,7 +107,7 @@ def cmd_validate(args) -> int:
 def cmd_capacity(args) -> int:
     ch = _load(args)
     unit, suffix = (LN2, "bits") if args.bits else (1.0, "nats")
-    if args.grid:
+    if args.grid is not None:
         val = capacity_grid_oracle(ch, args.grid)
         _emit_json({f"C_oracle_{suffix}": val / unit, "resolution": args.grid})
         return 0
@@ -161,6 +161,8 @@ def cmd_simulate(args) -> int:
                        seed=args.seed, confirm_threshold=args.threshold,
                        max_epochs=args.max_epochs)
     scheme = build_scheme(ch, cfg)
+    if scheme.infinite_d and args.threshold is not None:
+        raise ChannelError("--threshold does not apply when D = +inf: only LLR +inf confirms")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("trial,epoch,decoded,correct,sent_bit,decided_bit,llr\n")
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("capacity", help="feedback capacity and optimal policy")
     add_common(sp)
     sp.add_argument("--bits", action="store_true", help="report bits instead of nats")
-    sp.add_argument("--grid", type=int, default=0, metavar="N",
+    sp.add_argument("--grid", type=int, default=None, metavar="N",
                     help="brute-force oracle at lattice resolution N instead of the solver")
     sp.set_defaults(func=cmd_capacity)
 
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threshold", type=float, default=None,
-                    help="accept threshold on LLR/n_tilde (default -D/4)")
+                    help="accept threshold on LLR/n_tilde (default -D/4; refused when D = +inf)")
     sp.add_argument("--max-epochs", type=int, default=64)
     sp.add_argument("--trace", metavar="FILE", default=None,
                     help="write a per-epoch CSV trace")

@@ -303,9 +303,8 @@ def simulate_trajectory(ch, policy, grid: ControlGrid, n: int, seed: int,
         raise ChannelError("horizon must be positive")
     policy = _as_policy_callable(policy, ch)
     S, Y = ch.n_states, ch.n_outputs
-    pair_cdf, pair_last = (a.tolist() for a in _rng.inverse_cdf(
-        ch.kernel.reshape(S, ch.n_inputs, S * Y)))
-    init_cdf, init_last = (a.tolist() for a in _rng.inverse_cdf(ch.initial_dist))
+    pair_cdf, pair_last = _rng.row_lists(ch.kernel.reshape(S, ch.n_inputs, S * Y))
+    init_cdf, init_last = _rng.row_lists(ch.initial_dist)
     gen = _rng.stream(seed, substream)
     u01 = gen.random(2 * n + 1).tolist()
     K = len(grid)
@@ -325,7 +324,7 @@ def simulate_trajectory(ch, policy, grid: ControlGrid, n: int, seed: int,
                     if not snap:
                         raise ChannelError(f"policy output at step {t} is not a grid point")
                     k = grid.nearest(u)
-                found = by_key[u.key()] = (k, *(a.tolist() for a in _rng.inverse_cdf(u.weights)))
+                found = by_key[u.key()] = (k, *_rng.row_lists(u.weights))
             hit = (u, *found)
             if len(by_id) < K:               # a policy of fresh objects fills this once
                 by_id[id(u)] = hit
@@ -357,20 +356,20 @@ def _stationary_counts(ch, state_to_k, grid, n, trials, seed) -> np.ndarray:
     Reproduces simulate_trajectory exactly: per-trial substreams, 2n+1
     uniforms per trial, the same inverse-CDF rule.
     """
-    S, Y, K = ch.n_states, ch.n_outputs, len(grid)
-    in_cdf, in_last = _rng.inverse_cdf(grid.matrix())                 # (K, X), (K,)
-    pair_cdf, pair_last = _rng.inverse_cdf(ch.kernel.reshape(S, ch.n_inputs, S * Y))
+    S, X, Y, K = ch.n_states, ch.n_inputs, ch.n_outputs, len(grid)
+    control = _rng.inverse_cdf(grid.matrix()[state_to_k])          # row s: its control
+    pair = _rng.inverse_cdf(ch.kernel.reshape(S, X, S * Y))        # row s X + x
     u = np.empty((trials, 2 * n + 1))
     for k in range(trials):
         _rng.stream(seed, k).random(out=u[k])
-    s = _rng.draw(*_rng.inverse_cdf(ch.initial_dist), u[:, 0])
+    s = _rng.draw(*_rng.inverse_cdf(ch.initial_dist), 0, u[:, 0])
     counts = np.zeros((trials, S, K), dtype=np.int64)
-    rows = np.arange(trials)
+    # flat cell of (trial, s, control of s): one per trial a step, so none repeats
+    at, cell = np.arange(trials) * (S * K), np.arange(S) * K + state_to_k
     for t in range(n):
-        k = state_to_k[s]
-        np.add.at(counts, (rows, s, k), 1)
-        x = _rng.draw(in_cdf[k], in_last[k], u[:, 2 * t + 1])
-        s = _rng.draw(pair_cdf[s, x], pair_last[s, x], u[:, 2 * t + 2]) // Y
+        counts.reshape(-1)[at + cell.take(s)] += 1
+        x = _rng.draw(*control, s, u[:, 2 * t + 1])
+        s = _rng.draw(*pair, s * X + x, u[:, 2 * t + 2]) // Y
     return counts
 
 

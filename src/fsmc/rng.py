@@ -11,8 +11,8 @@ randomness depends only on (seed, trial), never on batching or scheduling.
 A uniform u picks a cell from weights by inverse CDF: the cell is
 min(#{cdf <= u}, last), where cdf is the running sum of the weights and last
 the index of the last positive weight, so zero-mass cells stay unreachable
-even when the running sum ends below 1.  `inverse_cdf` builds the tables and
-`draw` applies the rule to arrays of uniforms.
+even when the running sum ends below 1.  `inverse_cdf` builds tables of
+such rows cell-major; `draw` applies the rule to arrays by flat row index.
 """
 from __future__ import annotations
 
@@ -38,18 +38,28 @@ def stream(seed: int, substream: int = 0) -> np.random.Generator:
 
 
 def inverse_cdf(weights):
-    """(cdf, last) along the last axis: running sums of the weights and the
-    index of the last positive weight (0 for a row with none)."""
-    w = np.asarray(weights, dtype=np.float64)
+    """Table (cols, last) of weights (..., K), one row r per leading index in C
+    order: cols[j, r] is row r's running sum through cell j (cell-major, (K, R)),
+    last[r] the index of its last positive weight (0 for a row with none)."""
+    w = np.asarray(weights, dtype=np.float64).reshape(-1, np.shape(weights)[-1])
     pos = w > 0.0
-    last = np.where(pos.any(axis=-1), w.shape[-1] - 1 - np.argmax(pos[..., ::-1], axis=-1), 0)
-    return np.cumsum(w, axis=-1), last
+    last = np.where(pos.any(axis=1), w.shape[1] - 1 - np.argmax(pos[:, ::-1], axis=1), 0)
+    return np.ascontiguousarray(np.cumsum(w, axis=1).T), last
 
 
-def draw(cdf, last, u):
-    """Cells min(#{cdf <= u}, last) for uniforms u; cdf rows (..., K) and last
-    (...) broadcast against u."""
-    return np.minimum((cdf <= np.asarray(u)[..., None]).sum(axis=-1), last)
+def draw(cols, last, rows, u):
+    """Cells min(#{cols[:, rows] <= u}, last[rows]) for uniforms u; row indices
+    rows broadcast against u."""
+    cell = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(u)), dtype=np.intp)
+    for col in cols[:-1]:         # the largest sum is <= u only if all are: count >= last
+        cell += col.take(rows) <= u
+    return np.minimum(cell, last.take(rows), out=cell)
+
+
+def row_lists(weights):
+    """inverse_cdf's table as nested lists shaped like weights, for bisect."""
+    shape, (cols, last) = np.shape(weights), inverse_cdf(weights)
+    return cols.T.reshape(shape).tolist(), last.reshape(shape[:-1]).tolist()
 
 
 def _mulhilo(m: int, x: np.ndarray):

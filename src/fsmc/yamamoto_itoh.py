@@ -107,12 +107,12 @@ class Scheme:
         self._S, self._X, self._Y = S, X, Y
         k = ch.kernel
         flat = k.reshape(S, X, S * Y)
-        self._pair_cdf, self._last_pos = _rng.inverse_cdf(flat)
-        self._init_cdf, self._init_last = _rng.inverse_cdf(ch.initial_dist)
+        self._pair = _rng.inverse_cdf(flat)                 # row s X + x: the law of (v, y)
+        self._init = _rng.inverse_cdf(ch.initial_dist)      # row 0
         self._logk = np.where(flat > 0.0, np.log(np.maximum(flat, 1e-300)), -1e18)  # (S, X, SY)
         on_f = (np.arange(S), np.array([exp_result.f0, exp_result.f1]))   # [bit, s]: f_bit(s)
-        # verify-phase draw tables [bit, s]: the law of (v, y) given s and f_bit(s)
-        self._verify_cdf, self._verify_last = self._pair_cdf[on_f], self._last_pos[on_f]
+        # verify phase: entry bit S + s is the pair row of s and f_bit(s)
+        self._verify_rows = (on_f[0] * X + on_f[1]).ravel()
         p0, p1 = k[on_f]                            # P(v, y | s, f0(s)), and under f1
         llr = np.zeros((S, S, Y))
         both = (p0 > 0.0) & (p1 > 0.0)
@@ -121,7 +121,7 @@ class Scheme:
         llr[(p0 == 0.0) & (p1 > 0.0)] = -math.inf
         self._llr_tab = llr
         # the same tables as nested lists, for one trial at a time (_phase2_one)
-        self._lists = tuple(a.tolist() for a in (self._verify_cdf, self._verify_last, llr))
+        self._lists = (*_rng.row_lists(flat[on_f]), llr.tolist())
         self._codebook = None
 
     # -- lazy codebook ------------------------------------------------------
@@ -132,12 +132,12 @@ class Scheme:
         if self._codebook is None:
             cfg = self.config
             w_total, n_hat, S = cfg.message_count, cfg.n_hat, self._S
-            pol_cdf, last = _rng.inverse_cdf(self.capacity_result.optimal_policy.matrix())
+            policy = _rng.inverse_cdf(self.capacity_result.optimal_policy.matrix())   # row s
             gen = _rng.stream(cfg.seed, _rng.CODEBOOK_STREAM)
             blocks = []
             for lo in range(0, w_total, _MESSAGE_BLOCK):    # blocks bound memory, not the draws
                 u = gen.random((min(lo + _MESSAGE_BLOCK, w_total) - lo, n_hat, S))
-                blocks.append(_rng.draw(pol_cdf, last, u).astype(np.int8))
+                blocks.append(_rng.draw(*policy, np.arange(S), u).astype(np.int8))
             self._codebook = np.concatenate(blocks, axis=0)
         return self._codebook
 
@@ -172,12 +172,15 @@ def build_scheme(ch, config: SchemeConfig, cap_result: CapacityResult | None = N
 def _phase1_batch(scheme, w, s0, u):
     """Data phase for a batch: returns (decoded, end_state, state_paths)."""
     b, n_hat = u.shape
+    S, X = scheme._S, scheme._X
     ss = np.empty((b, n_hat), dtype=np.int64)
     obs = np.empty((b, n_hat), dtype=np.int64)      # flat (next state, output) cells
     s = s0.astype(np.int64)
+    at = w * scheme.codebook[0].size                # flat index of each row's codeword
+    cb = scheme.codebook.reshape(-1)
     for t in range(n_hat):
-        x = scheme.codebook[w, t, s]
-        obs[:, t] = _rng.draw(scheme._pair_cdf[s, x], scheme._last_pos[s, x], u[:, t])
+        x = cb.take(at + t * S + s)
+        obs[:, t] = _rng.draw(*scheme._pair, s * X + x, u[:, t])
         ss[:, t] = s
         s = obs[:, t] // scheme._Y
     return _decode(scheme, ss, obs, w), s, ss
@@ -259,12 +262,12 @@ def _decode(scheme, ss, obs, hint):
 
 def _phase2_batch(scheme, bits, s0, u):
     """Verification phase: returns (decided, end_state, llr)."""
-    n_tilde = scheme.config.n_tilde
+    n_tilde, S = scheme.config.n_tilde, scheme._S
     s = s0.astype(np.int64)
     llr = np.zeros(u.shape[0])
     for t in range(n_tilde):
-        v, y = np.divmod(_rng.draw(scheme._verify_cdf[bits, s], scheme._verify_last[bits, s],
-                                   u[:, t]), scheme._Y)
+        rows = scheme._verify_rows.take(bits * S + s)
+        v, y = np.divmod(_rng.draw(*scheme._pair, rows, u[:, t]), scheme._Y)
         if t < n_tilde - 1:                          # the last next-state is unobserved
             llr = llr + scheme._llr_tab[s, v, y]
         s = v
@@ -286,7 +289,7 @@ def _phase2_one(scheme, bit, s, u):
 
 
 def _draw_initial(scheme, u):
-    return _rng.draw(scheme._init_cdf, scheme._init_last, u)
+    return _rng.draw(*scheme._init, 0, u)
 
 
 def _start(scheme, gen, start_state) -> int:

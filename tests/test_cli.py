@@ -289,9 +289,12 @@ def test_sweep_example_rejects_bad_params():
     ("simulate", "{nan_initial}", "--rate", "0.18", "--gamma", "0.6", "--n", "20",
      "--trials", "50"),
     ("capacity", "{example}", "--grid", "100000"),
+    ("capacity", "{bsc}", "--grid", "0"),
+    ("simulate", "{z}", "--rate", "0.15", "--gamma", "0.6", "--n", "20", "--trials", "50",
+     "--threshold", "5"),
 ])
-def test_bad_numbers_exit_1_with_one_error_line(argv, bsc_file, example_file, tmp_path):
-    paths = {"bsc": bsc_file, "example": example_file}
+def test_bad_numbers_exit_1_with_one_error_line(argv, bsc_file, example_file, z_file, tmp_path):
+    paths = {"bsc": bsc_file, "example": example_file, "z": z_file}
     for name, at in (("nan_cell", ("kernel", 0, 0, 0)), ("nan_initial", ("initial",))):
         doc = row = json.loads(bsc_file.read_text())
         for key in at:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -10,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsmc
 from fsmc import rng as frng
+
+from conftest import make_bsc
 
 MASK64 = (1 << 64) - 1
 COUNTS = (1, 3, 4, 5, 8, 9, 13, 22)     # crossing 0, 1 or several 4-word blocks
@@ -129,45 +133,118 @@ def _probes(weights):
 
 @pytest.mark.parametrize("weights", ROWS)
 def test_draw_matches_bisect_reference(weights):
-    cdf, last = frng.inverse_cdf(weights)
-    assert cdf.tolist() == list(accumulate(weights))
+    cols, last = frng.inverse_cdf(weights)
+    assert cols.shape == (len(weights), 1) and last.shape == (1,)
+    assert cols[:, 0].tolist() == list(accumulate(weights))
     u = np.array(_probes(weights))
-    got = frng.draw(cdf, last, u)
+    got = frng.draw(cols, last, 0, u)
     assert got.tolist() == [_reference_cell(weights, v) for v in u.tolist()]
-    assert got.tolist() == [int(frng.draw(cdf, last, v)) for v in u]      # scalar u
+    assert got.tolist() == [int(frng.draw(cols, last, 0, v)) for v in u]   # scalar u
 
 
 def test_draw_broadcasts_like_the_codebook():
-    """u (b, n_hat, S) against cdf (S, X): one call draws every state."""
+    """u (b, n_hat, S) against rows arange(S) of an (S, X) policy: one call
+    draws every state."""
     # the middle row's running sum ends at 1 - 2^-53, before its zero cell
     policy = np.array([[0.0, 0.6, 0.4, 0.0], [0.7, 0.2, 0.1, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    cdf, last = frng.inverse_cdf(policy)
-    assert cdf.shape == (3, 4) and last.tolist() == [2, 2, 3]
+    cols, last = frng.inverse_cdf(policy)
+    assert cols.shape == (4, 3) and cols.flags.c_contiguous and last.tolist() == [2, 2, 3]
     u = np.random.default_rng(3).random((6, 5, 3))
     u[0, 0] = 0.0
     u[0, 1] = TOP
-    u[0, 2] = cdf[np.arange(3), [1, 0, 2]]                   # exactly on a cdf entry
-    got = frng.draw(cdf, last, u)
+    u[0, 2] = cols[[1, 0, 2], np.arange(3)]                  # exactly on a cdf entry
+    got = frng.draw(cols, last, np.arange(3), u)
     assert got.shape == u.shape
     for idx in np.ndindex(u.shape):
         assert got[idx] == _reference_cell(policy[idx[-1]].tolist(), float(u[idx]))
 
 
 def test_short_running_sum_clips_to_last_cell():
-    cdf, last = frng.inverse_cdf([0.1] * 10)
-    assert cdf[-1] == TOP                 # so #{cdf <= TOP} counts all ten cells
-    assert frng.draw(cdf, last, TOP) == 9
+    cols, last = frng.inverse_cdf([0.1] * 10)
+    assert cols[-1, 0] == TOP             # so #{cdf <= TOP} counts all ten cells
+    assert frng.draw(cols, last, 0, TOP) == 9
 
 
 def test_draw_on_gathered_rows():
-    """Rows picked per trial (B, K) against one uniform per trial (B,)."""
+    """Rows picked per trial (B,) against one uniform per trial (B,)."""
     table = np.array([[0.0, 0.0, 0.3, 0.7, 0.0, 0.0],
                       [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
                       [0.25, 0.0, 0.5, 0.0, 0.25, 0.0],
                       [0.7, 0.2, 0.1, 0.0, 0.0, 0.0]])
-    cdf, last = frng.inverse_cdf(table)
+    cols, last = frng.inverse_cdf(table)
     rows = np.array([0, 3, 2, 1, 3, 0, 2])
     u = np.array([0.0, TOP, 0.3, 0.999, 0.75, 0.3, 0.5])
-    got = frng.draw(cdf[rows], last[rows], u)
+    got = frng.draw(cols, last, rows, u)
     assert got.tolist() == [_reference_cell(table[r].tolist(), v)
                             for r, v in zip(rows.tolist(), u.tolist())]
+
+
+def _table(gen, n_rows, k):
+    """n_rows random rows of k cells with zero cells, a point mass, a row
+    whose running sum ends at 1 - 2^-53 and one with trailing zero mass."""
+    w = gen.random((n_rows, k)) * (gen.random((n_rows, k)) < 0.6)
+    w[:, 0] += 1e-3                                          # no row without mass
+    w /= w.sum(axis=1, keepdims=True)
+    w[0] = np.eye(k)[k // 2]
+    if k >= 10:
+        w[1] = 0.0
+        w[1, :10] = 0.1
+    w[-1, k // 2:] = 0.0
+    w[-1, 0] += 1.0 - w[-1].sum()
+    return w
+
+
+def _edge_uniforms(gen, shape, cols, rows):
+    """Uniforms of the given shape, a third set to 0, 1 - 2^-53 or a running
+    sum of the row they meet."""
+    u = gen.random(shape)
+    rows = np.broadcast_to(rows, shape)
+    pick = gen.integers(0, 3, size=shape)
+    u[pick == 0] = 0.0
+    u[pick == 1] = TOP
+    on = gen.integers(0, cols.shape[0], size=shape)
+    u[pick == 2] = cols[on, rows][pick == 2]
+    return u, rows
+
+
+@pytest.mark.parametrize("k", [1, 28])                     # K = 1 and K = S Y for S 7, Y 4
+@pytest.mark.parametrize("shape", [(500,), (40, 6, 7)])    # (B,) and (m, n_hat, S)
+def test_draw_differential_on_broadcast_rows(k, shape):
+    gen = np.random.default_rng(k + len(shape))
+    table = _table(gen, 7, k)
+    cols, last = frng.inverse_cdf(table)
+    assert cols.shape == (k, 7) and last.shape == (7,)
+    assert np.array_equal(cols, np.cumsum(table, axis=1).T)
+    rows = gen.integers(0, 7, size=shape) if len(shape) == 1 else np.arange(7)
+    u, every_row = _edge_uniforms(gen, shape, cols, rows)
+    got = frng.draw(cols, last, rows, u)
+    assert got.shape == shape
+    want = [_reference_cell(table[r].tolist(), v)
+            for r, v in zip(every_row.ravel().tolist(), u.ravel().tolist())]
+    assert got.ravel().tolist() == want
+
+
+def test_inverse_cdf_rows_follow_the_leading_axes_in_c_order():
+    table = _table(np.random.default_rng(9), 6, 5).reshape(2, 3, 5)
+    cols, last = frng.inverse_cdf(table)
+    assert cols.shape == (5, 6)
+    for r, (i, j) in enumerate(np.ndindex(2, 3)):
+        assert cols[:, r].tolist() == list(accumulate(table[i, j].tolist()))
+        assert last[r] == max(c for c in range(5) if table[i, j, c] > 0.0)
+
+
+# recorded from the codebook drawn before draw took flat row indices
+BSC_CODEBOOK_SHA256 = "adee4da0543d84fed936cf0ee295db8ceb86b4a7e497997587178c8497c8d7fb"
+
+
+def test_bsc_codebook_at_the_message_cap_is_pinned():
+    """The 65536 x 48 codebook of BSC(0.1) at rate 0.18, n 80: the pinned
+    bytes, and the bisect rule on the codebook stream's uniforms."""
+    scheme = fsmc.build_scheme(make_bsc(0.1), fsmc.SchemeConfig(rate=0.18, gamma=0.6, n=80,
+                                                                trials=1, seed=901))
+    cb = scheme.codebook
+    assert cb.shape == (65536, 48, 1) and cb.dtype == np.int8
+    assert hashlib.sha256(cb.tobytes()).hexdigest() == BSC_CODEBOOK_SHA256
+    cdf = np.cumsum(scheme.capacity_result.optimal_policy.matrix()[0])
+    u = frng.stream(901, frng.CODEBOOK_STREAM).random(cb.shape)
+    assert np.array_equal(cb, np.minimum(np.searchsorted(cdf, u, side="right"), 1))
