@@ -289,6 +289,34 @@ def _as_policy_callable(policy, ch):
     return policy
 
 
+def _grid_lookup(grid: ControlGrid, snap: bool = False):
+    """lookup(u, t) -> (u, k, cdf, last): grid index k of policy output u, and
+    the row lists of u's weights, found once per object (by id) or per value
+    (by key).  An output off the grid raises, naming step t, unless snap,
+    which rounds it to the nearest point in max-coordinate distance."""
+    K = len(grid)
+    by_key = {}                              # u.key() -> (k, cdf, last)
+    by_id = {}                               # id(u) -> (u, k, cdf, last); u keeps its id taken
+
+    def lookup(u, t):
+        hit = by_id.get(id(u))
+        if hit is None:
+            found = by_key.get(u.key())
+            if found is None:
+                k = grid.index_of(u)
+                if k is None:
+                    if not snap:
+                        raise ChannelError(f"policy output at step {t} is not a grid point")
+                    k = grid.nearest(u)
+                found = by_key[u.key()] = (k, *_rng.row_lists(u.weights))
+            hit = (u, *found)
+            if len(by_id) < K:               # a policy of fresh objects fills this once
+                by_id[id(u)] = hit
+        return hit
+
+    return lookup
+
+
 def simulate_trajectory(ch, policy, grid: ControlGrid, n: int, seed: int,
                         snap: bool = False, substream: int = 0) -> EmpiricalMeasure:
     """Roll out a (possibly history-dependent) policy for n steps.
@@ -309,26 +337,11 @@ def simulate_trajectory(ch, policy, grid: ControlGrid, n: int, seed: int,
     u01 = gen.random(2 * n + 1).tolist()
     K = len(grid)
     counts = [0] * (S * K)                   # visits to (s, k) at s * K + k
-    by_key = {}                              # u.key() -> (k, cdf, last)
-    by_id = {}                               # id(u) -> (u, k, cdf, last); u keeps its id taken
+    lookup = _grid_lookup(grid, snap)
     states = [min(bisect_right(init_cdf, u01[0]), init_last)]
     outputs = []
     for t in range(n):
-        u = policy(states, outputs)
-        hit = by_id.get(id(u))
-        if hit is None:
-            found = by_key.get(u.key())
-            if found is None:
-                k = grid.index_of(u)
-                if k is None:
-                    if not snap:
-                        raise ChannelError(f"policy output at step {t} is not a grid point")
-                    k = grid.nearest(u)
-                found = by_key[u.key()] = (k, *_rng.row_lists(u.weights))
-            hit = (u, *found)
-            if len(by_id) < K:               # a policy of fresh objects fills this once
-                by_id[id(u)] = hit
-        _, k, cdf, last = hit
+        _, k, cdf, last = lookup(policy(states, outputs), t)
         s = states[-1]
         counts[s * K + k] += 1
         x = min(bisect_right(cdf, u01[2 * t + 1]), last)
@@ -350,26 +363,51 @@ def _stationary_grid_map(policy, grid: ControlGrid):
     return np.asarray(idxs, dtype=np.int64)
 
 
-def _stationary_counts(ch, state_to_k, grid, n, trials, seed) -> np.ndarray:
-    """(trials, S, K) visit counts for stationary-on-grid controls, vectorized.
+# uniforms a block of trials holds (2n + 1 a trial): the engine's working set
+_BLOCK_WORDS = 1 << 20
 
-    Reproduces simulate_trajectory exactly: per-trial substreams, 2n+1
-    uniforms per trial, the same inverse-CDF rule.
+
+def _occupation_counts(ch, policy, grid: ControlGrid, n: int, seed: int,
+                       trials: np.ndarray) -> np.ndarray:
+    """(len(trials), S, K) visit counts of trials (substream ids of seed),
+    stepped together: each trial counts exactly what simulate_trajectory(ch,
+    policy, grid, n, seed, substream=trial) counts, from the same 2n + 1
+    uniforms and the same inverse-CDF rule.
+
+    A StationaryPolicy maps the states to grid rows with one take.  Any other
+    policy is called once per trial a step, in trial order, with that trial's
+    own states and outputs lists, so it must be a function of its arguments.
     """
     S, X, Y, K = ch.n_states, ch.n_inputs, ch.n_outputs, len(grid)
-    control = _rng.inverse_cdf(grid.matrix()[state_to_k])          # row s: its control
+    control = _rng.inverse_cdf(grid.matrix())                      # row k: grid point k
     pair = _rng.inverse_cdf(ch.kernel.reshape(S, X, S * Y))        # row s X + x
-    u = np.empty((trials, 2 * n + 1))
-    for k in range(trials):
-        _rng.stream(seed, k).random(out=u[k])
+    u = _rng.uniforms(seed, trials, 0, 2 * n + 1)
     s = _rng.draw(*_rng.inverse_cdf(ch.initial_dist), 0, u[:, 0])
-    counts = np.zeros((trials, S, K), dtype=np.int64)
-    # flat cell of (trial, s, control of s): one per trial a step, so none repeats
-    at, cell = np.arange(trials) * (S * K), np.arange(S) * K + state_to_k
+    if isinstance(policy, StationaryPolicy):
+        state_to_k = _stationary_grid_map(policy, grid)
+
+        def choose(t, s, y):
+            return state_to_k.take(s)
+    else:
+        lookup = _grid_lookup(grid)
+        paths = [([v], []) for v in s.tolist()]
+
+        def choose(t, s, y):
+            if t:
+                for (states, outputs), v, o in zip(paths, s.tolist(), y.tolist()):
+                    states.append(v)
+                    outputs.append(o)
+            return np.array([lookup(policy(states, outputs), t)[1] for states, outputs in paths],
+                            dtype=np.intp)
+    counts = np.zeros((len(trials), S, K), dtype=np.int64)
+    # flat cell of (trial, s, k): one per trial a step, so none repeats
+    at, y = np.arange(len(trials)) * (S * K), None
     for t in range(n):
-        counts.reshape(-1)[at + cell.take(s)] += 1
-        x = _rng.draw(*control, s, u[:, 2 * t + 1])
-        s = _rng.draw(*pair, s * X + x, u[:, 2 * t + 2]) // Y
+        k = choose(t, s, y)
+        counts.reshape(-1)[at + s * K + k] += 1
+        ux, us = u[:, 2 * t + 1:2 * t + 3].T.copy()     # contiguous: draws read them K - 1 times
+        x = _rng.draw(*control, k, ux)
+        s, y = np.divmod(_rng.draw(*pair, s * X + x, us), Y)
     return counts
 
 
@@ -379,10 +417,14 @@ def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
 
     Counts trajectories with ||F(empirical)||_inf >= eps + 1/n and compares
     the frequency against 2|S| exp(-n eps^2 / 2) plus three binomial standard
-    errors.  Requires trials >= 100.  Trial k reads substream k of seed; F is
-    taken once over every trial's counts.  jobs is accepted and ignored:
-    trials run in one thread, since the history-dependent path holds the
-    interpreter lock and threads bought nothing.
+    errors.  Requires trials >= 100.  Trial k reads substream k of seed, as
+    simulate_trajectory(..., substream=k) does.  Trials run in blocks of
+    max(1, _BLOCK_WORDS // (2n + 1)), each stepped together
+    (_occupation_counts); F is taken per block and only the violation count
+    kept, so memory is set by _BLOCK_WORDS and n, not by trials.  A
+    history-dependent policy is called step-major, every trial's step t
+    before any trial's step t + 1.  jobs is accepted and ignored: trials run
+    in one thread.
     """
     if n < 1:
         raise ChannelError("horizon must be positive")
@@ -391,14 +433,12 @@ def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
     if not (0.0 < eps):
         raise ChannelError("eps must be positive")
 
-    if isinstance(policy, StationaryPolicy):
-        counts = _stationary_counts(ch, _stationary_grid_map(policy, grid), grid,
-                                    n, trials, seed)
-    else:
-        counts = np.stack([simulate_trajectory(ch, policy, grid, n, seed, substream=k).counts
-                           for k in range(trials)])
-    f = _balance(ch, grid, counts / float(n))
-    bad = int((np.abs(f).max(axis=1) >= eps + 1.0 / n).sum())
+    per_block, bad = max(1, _BLOCK_WORDS // (2 * n + 1)), 0
+    for lo in range(0, trials, per_block):
+        counts = _occupation_counts(ch, policy, grid, n, seed,
+                                    np.arange(lo, min(lo + per_block, trials)))
+        f = _balance(ch, grid, counts / float(n))
+        bad += int((np.abs(f).max(axis=1) >= eps + 1.0 / n).sum())
     empirical = bad / trials
     bound = 2.0 * ch.n_states * math.exp(-n * eps * eps / 2.0)
     se = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)

@@ -220,12 +220,14 @@ def _decode(scheme, ss, obs, hint):
     t_blk = max(1, _SCORE_BLOCK // max(m_blk, k))
     ell = np.maximum(scheme._logk, n_hat * scheme._logk[scheme._logk > -1e18].min() - 1.0)
     delta = ell - ell[:, :1]                        # (S, X, SY), zero at input 0
-    # A screen score sums at most n_hat nonzero products of a float32 delta
-    # and 1, signed, so in any order it lies within about (n_hat + 1) * eps/2
-    # * n_hat * max|delta| of the exact sum (eps of float32; float64 sums are
-    # far closer).  The winner's screen score is then at most twice that below
-    # a running maximum: tol has a fourfold margin, and its + 1 covers float64.
-    tol = 4.0 * (n_hat + 2) * float(np.finfo(np.float32).eps) * (n_hat * np.abs(delta).max() + 1.0)
+    # A trial's screen score sums at most n_hat nonzero products of a float32
+    # delta and 1, signed, the one at use t at most m_t = max_x |delta[s_t, x,
+    # o_t]| in size, so in any order it lies within about (n_hat + 1) * eps/2
+    # * sum_t m_t of the exact sum (eps of float32; float64 sums are far
+    # closer).  The winner's screen score is then at most twice that below a
+    # running maximum: tol has a fourfold margin, and its + 1 covers float64.
+    size = np.abs(delta).max(axis=1).reshape(-1).take(ss * n_cells + obs).sum(axis=1)
+    tol = 4.0 * (n_hat + 2) * float(np.finfo(np.float32).eps) * (size + 1.0)
     best = _exact_scores(scheme, ss, obs, hint, delta)
     # row s*SY + o holds delta[s, x, o] at column (s', x - 1), zero unless s' = s
     per_use = np.zeros((S, n_cells, S, X - 1), dtype=np.float32)
@@ -240,11 +242,11 @@ def _decode(scheme, ss, obs, hint):
         for lo_t in range(0, b, t_blk):
             rows = slice(lo_t, lo_t + t_blk)
             sc = per_use[ss[rows] * n_cells + obs[rows]].reshape(-1, k) @ e_t
-            top, floor = sc.max(axis=1), best[rows]
-            hot = np.flatnonzero(top >= floor - tol)   # hold candidates
+            top, floor, slack = sc.max(axis=1), best[rows], tol[rows]
+            hot = np.flatnonzero(top >= floor - slack)   # hold candidates
             top = best[hot + lo_t] = np.maximum(floor[hot], top[hot])
             sc = sc[hot]
-            flat = np.flatnonzero(sc >= (top - tol)[:, None])
+            flat = np.flatnonzero(sc >= (top - slack[hot])[:, None])
             r, c = divmod(flat, m)
             found.append((hot[r] + lo_t, c + lo_w))
     trial, cand = map(np.concatenate, zip(*found))
@@ -262,15 +264,15 @@ def _decode(scheme, ss, obs, hint):
 
 def _phase2_batch(scheme, bits, s0, u):
     """Verification phase: returns (decided, end_state, llr)."""
-    n_tilde, S = scheme.config.n_tilde, scheme._S
+    n_tilde, S, n_cells = scheme.config.n_tilde, scheme._S, scheme._S * scheme._Y
+    tab = scheme._llr_tab.reshape(-1)               # (s, v, y) at s S Y + cell of (v, y)
     s = s0.astype(np.int64)
     llr = np.zeros(u.shape[0])
     for t in range(n_tilde):
-        rows = scheme._verify_rows.take(bits * S + s)
-        v, y = np.divmod(_rng.draw(*scheme._pair, rows, u[:, t]), scheme._Y)
+        cell = _rng.draw(*scheme._pair, scheme._verify_rows.take(bits * S + s), u[:, t])
         if t < n_tilde - 1:                          # the last next-state is unobserved
-            llr = llr + scheme._llr_tab[s, v, y]
-        s = v
+            llr = llr + tab.take(s * n_cells + cell)
+        s = cell // scheme._Y
     return np.where(llr / n_tilde >= scheme._accept_at, 0, 1), s, llr
 
 

@@ -74,6 +74,43 @@ def make_sparse_zero_error(seed: int = 0) -> fsmc.ChannelSpec:
                                     [1 / 3, 1 / 3, 1 / 3])
 
 
+def sparse_channel(seed):
+    """Random channel with zero cells.  By mode: 0 free (often reducible);
+    1 a deterministic cycle (periodic, every input identical); 2 the cycle
+    plus sparse cells; 3 inputs copied onto others at some states (ties);
+    4 free, and in some draws every input identical; 5 the cycle plus one
+    (s_next, y) support per state shared by its inputs (finite KLs); 6 no
+    ISI, a state law times a sparse output law, whose input rows of the
+    state marginal agree only up to rounding."""
+    gen = np.random.default_rng([seed, 5])
+    X = int(gen.choice([2, 2, 3]))
+    S = int(gen.integers(1, 9 if X == 2 else 5))
+    Y = int(gen.integers(1, 4))
+    mode = int(gen.integers(0, 7))
+    support = gen.random((S, 1 if mode == 5 else X, S, Y)) < gen.uniform(0.2, 0.9)
+    k = (gen.random((S, X, S, Y)) + 0.05) * support * (mode != 1)
+    if mode in (1, 2, 5):
+        k[np.arange(S), :, (np.arange(S) + 1) % S, gen.integers(0, Y, size=S)] += 0.3
+    for s, x in zip(*np.nonzero(k.reshape(S, X, -1).sum(axis=2) == 0.0)):
+        k[s, x, gen.integers(0, S), gen.integers(0, Y)] = 1.0
+    if mode == 3:
+        for s in range(S):
+            if gen.random() < 0.6:
+                k[s, gen.integers(0, X)] = k[s, gen.integers(0, X)]
+    if mode == 4 and gen.random() < 0.3:
+        k[:] = k[:, :1]
+    if mode == 6:
+        t = gen.random((S, S)) * (gen.random((S, S)) < 0.5)
+        t[np.arange(S), (np.arange(S) + 1) % S] += 0.3
+        w = (gen.random((S, X, Y)) + 0.05) * (gen.random((S, X, Y)) < 0.6)
+        w[:, :, 0] += 0.01
+        k = t[:, None, :, None] * (w / w.sum(axis=2, keepdims=True))[:, :, None, :]
+    k /= k.sum(axis=(2, 3), keepdims=True)
+    lab = lambda pre, m: tuple(f"{pre}{i}" for i in range(m))
+    return fsmc.channel_from_arrays(lab("s", S), lab("x", X), lab("y", Y), k,
+                                    np.full(S, 1.0 / S))
+
+
 @pytest.fixture()
 def bsc() -> fsmc.ChannelSpec:
     return make_bsc(0.1)

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import fsmc
 from fsmc import ChannelError, InputDist, StationaryPolicy
+from fsmc import occupation
 from fsmc.occupation import (ControlGrid, EmpiricalMeasure, OccupationMeasure,
                              azuma_tail_check, decode_policy, f_functional,
                              lp_average_cost, simulate_trajectory)
-from conftest import make_bsc, make_random_channel
+from conftest import make_bsc, make_random_channel, sparse_channel
 
 # frozen (see test_oracles)
 BSC_D = 1.7577796618689758
@@ -232,7 +233,25 @@ def test_azuma_passes_on_stationary_policy():
     assert out["empirical"] <= out["bound"] + 3e-2
 
 
+def _oracle_counts(ch, policy, grid, n, seed, trials):
+    """Stacked simulate_trajectory counts of the given substreams."""
+    return np.stack([simulate_trajectory(ch, policy, grid, n, seed, substream=k).counts
+                     for k in trials])
+
+
+def _oracle_azuma(ch, policy, grid, n, eps, trials, seed):
+    """azuma_tail_check's dict from the oracle's counts, F taken once over all trials."""
+    f = occupation._balance(ch, grid, _oracle_counts(ch, policy, grid, n, seed, range(trials)) / n)
+    empirical = int((np.abs(f).max(axis=1) >= eps + 1.0 / n).sum()) / trials
+    bound = 2.0 * ch.n_states * math.exp(-n * eps * eps / 2.0)
+    se = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)
+    return {"n": n, "eps": eps, "empirical": empirical, "bound": bound,
+            "pass": bool(empirical <= bound + 3.0 * se)}
+
+
 def test_azuma_fast_path_matches_scalar_path():
+    """Both branches of the engine, a StationaryPolicy (one take a step) and
+    the same policy as a callable, give the dict of the trajectory oracle."""
     ch = fsmc.make_example(fsmc.gamma_params(0.5))
     grid = ControlGrid.corners(2)
     pol = StationaryPolicy.deterministic((0, 1), 2)
@@ -241,10 +260,10 @@ def test_azuma_fast_path_matches_scalar_path():
     def same_policy(states, outputs):
         return rows[states[-1]]
 
-    fast = azuma_tail_check(ch, pol, grid, n=200, eps=0.15, trials=150, seed=1)
-    slow = azuma_tail_check(ch, same_policy, grid, n=200, eps=0.15, trials=150,
-                            seed=1, jobs=3)
-    assert fast == slow
+    want = _oracle_azuma(ch, pol, grid, 200, 0.15, 150, 1)
+    assert azuma_tail_check(ch, pol, grid, n=200, eps=0.15, trials=150, seed=1) == want
+    assert azuma_tail_check(ch, same_policy, grid, n=200, eps=0.15, trials=150,
+                            seed=1, jobs=3) == want
 
 
 def test_azuma_rejects_small_trial_counts():
@@ -314,3 +333,148 @@ def test_balance_still_catches_a_corrupted_f(monkeypatch):
         fsmc.occupation._balance(ch, grid, counts / 200.0)
     with pytest.raises(ChannelError, match="row defect"):
         azuma_tail_check(ch, StationaryPolicy.deterministic((0, 0), 2), grid, 200, 0.2, 100, 0)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep engine against the trajectory oracle
+
+SPARSE_SEEDS = (0, 4, 12, 14, 21, 27, 35, 37, 39)   # X = 3, periodic cycles, ties, S = 1, Y = 1
+
+
+def _policies(ch):
+    """(grid, {kind: policy}) on the corners plus uniform and one mixed point."""
+    S, X = ch.n_states, ch.n_inputs
+    mixed = np.arange(1.0, X + 1.0)
+    grid = ControlGrid.with_points(X, [InputDist.uniform(X), InputDist(mixed / mixed.sum())])
+    pts, K = grid.points, len(grid)
+
+    def history(states, outputs):
+        return pts[(states[-1] + (outputs[-1] if outputs else 0) + len(outputs) // 3) % K]
+
+    def fresh(states, outputs):
+        return InputDist(pts[(states[-1] + sum(outputs[-2:])) % K].weights.copy())
+
+    return grid, {
+        "deterministic": StationaryPolicy.deterministic([s % X for s in range(S)], X),
+        "randomized": StationaryPolicy(tuple(pts[X + s % 2] for s in range(S))),
+        "history": history,
+        "fresh": fresh,
+    }
+
+
+@pytest.mark.parametrize("seed", SPARSE_SEEDS)
+def test_engine_counts_match_trajectories_on_sparse_channels(seed):
+    ch = sparse_channel(seed)
+    grid, policies = _policies(ch)
+    trials = np.arange(3, 26)
+    for kind, pol in policies.items():
+        got = occupation._occupation_counts(ch, pol, grid, 60, seed, trials)
+        want = _oracle_counts(ch, pol, grid, 60, seed, trials.tolist())
+        assert got.dtype == np.int64 and np.array_equal(got, want), kind
+
+
+@pytest.mark.parametrize("seed", SPARSE_SEEDS[:4])
+def test_azuma_blocks_split_unevenly_match_the_oracle(monkeypatch, seed):
+    """Blocks of 1, 7 and 64 trials, the last one short, give the oracle's dict
+    at an eps that some trials violate and others do not."""
+    ch = sparse_channel(seed)
+    grid, policies = _policies(ch)
+    n, trials = 40, 101
+    for kind, pol in policies.items():
+        f = occupation._balance(ch, grid, _oracle_counts(ch, pol, grid, n, seed, range(trials)) / n)
+        dev = np.sort(np.abs(f).max(axis=1))
+        eps = max(float(dev[trials // 2]) - 1.0 / n, 1e-3)
+        want = _oracle_azuma(ch, pol, grid, n, eps, trials, seed)
+        for per_block in (1, 7, 64, 1000):
+            monkeypatch.setattr(occupation, "_BLOCK_WORDS", per_block * (2 * n + 1))
+            assert azuma_tail_check(ch, pol, grid, n, eps, trials, seed) == want, (kind, per_block)
+        assert 0.0 < want["empirical"] < 1.0 or dev[0] == dev[-1], kind
+
+
+def test_balance_rows_do_not_depend_on_the_block_split():
+    """Per-row F, and each row's max |F|, are bit-equal whether the measures
+    go to _balance 1, 7, 100 or 1024 rows at a time."""
+    gen = np.random.default_rng(11)
+    for seed in (0, 5, 12, 14, 24, 37, 39):
+        ch = sparse_channel(seed)
+        grid, _ = _policies(ch)
+        cells = ch.n_states * len(grid)
+        w = gen.multinomial(500, gen.dirichlet(np.ones(cells)), size=1024)
+        w = w.reshape(1024, ch.n_states, len(grid)) / 500.0
+        whole = occupation._balance(ch, grid, w)
+        for rows in (1, 7, 100, 1024):
+            parts = np.concatenate([occupation._balance(ch, grid, w[i:i + rows])
+                                    for i in range(0, 1024, rows)])
+            assert parts.tobytes() == whole.tobytes(), (seed, rows)
+            assert np.abs(parts).max(axis=1).tobytes() == np.abs(whole).max(axis=1).tobytes()
+
+
+def _recorder():
+    """A policy that records, per trial (its states list), every (states,
+    outputs) it is called with, and the order of calls as (trial, step)."""
+    seen, order = {}, []
+
+    def policy(states, outputs):
+        trial = seen.setdefault(id(states), (len(seen), states, []))
+        trial[2].append((tuple(states), tuple(outputs)))
+        order.append((trial[0], len(outputs)))
+        return policy.points[(states[-1] + (outputs[-1] if outputs else 1)) % len(policy.points)]
+
+    return policy, seen, order
+
+
+def test_engine_calls_a_history_policy_with_each_trials_own_history():
+    """Per trial the policy sees the same (states, outputs) sequence as under
+    simulate_trajectory, and the engine calls it step-major, trials in order."""
+    ch = sparse_channel(21)
+    grid, _ = _policies(ch)
+    trials = np.arange(12)
+    got, got_order = [], []
+    for engine in (True, False):
+        policy, seen, order = _recorder()
+        policy.points = grid.points
+        if engine:
+            occupation._occupation_counts(ch, policy, grid, 25, 3, trials)
+        else:
+            _oracle_counts(ch, policy, grid, 25, 3, trials.tolist())
+        got.append([calls for _, _, calls in seen.values()])
+        got_order.append(order)
+    assert len(got[0]) == 12 and all(len(calls) == 25 for calls in got[0])
+    assert got[0] == got[1]
+    assert got_order[0] == sorted(got_order[0], key=lambda c: (c[1], c[0]))
+
+
+def test_engine_raises_on_an_off_grid_output_at_the_same_step():
+    ch = make_random_channel(4)
+    grid = ControlGrid.corners(2)
+    off = InputDist(np.array([0.6, 0.4]))
+
+    def policy(states, outputs):
+        return off if len(outputs) == 17 and outputs[-1] == 1 else grid.points[states[-1]]
+
+    with pytest.raises(ChannelError, match="at step 17 is"):
+        _oracle_counts(ch, policy, grid, 30, 0, range(10))
+    with pytest.raises(ChannelError, match="at step 17 is"):
+        occupation._occupation_counts(ch, policy, grid, 30, 0, np.arange(10))
+    with pytest.raises(ChannelError, match="at step 17 is"):
+        azuma_tail_check(ch, policy, grid, 30, 0.2, 100, 0)
+
+
+def test_azuma_memory_does_not_grow_with_trials(monkeypatch):
+    """Blocks of 200 trials at n = 200: the traced peak at 4000 trials stays
+    at its value for 400 (4000 trials' windows alone would be 12.8 MB)."""
+    import tracemalloc
+    ch = fsmc.make_example(fsmc.gamma_params(0.5))
+    grid = ControlGrid.corners(2)
+    pol = StationaryPolicy.deterministic((0, 1), 2)
+    monkeypatch.setattr(occupation, "_BLOCK_WORDS", 200 * 401)
+    azuma_tail_check(ch, pol, grid, n=200, eps=0.2, trials=100, seed=0)   # one-time set-up
+    peaks = []
+    for trials in (400, 4000):
+        tracemalloc.start()
+        try:
+            azuma_tail_check(ch, pol, grid, n=200, eps=0.2, trials=trials, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1_000_000 and peaks[1] <= 1.1 * peaks[0] + 16_384, peaks

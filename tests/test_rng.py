@@ -17,7 +17,8 @@ from fsmc import rng as frng
 from conftest import make_bsc
 
 MASK64 = (1 << 64) - 1
-COUNTS = (1, 3, 4, 5, 8, 9, 13, 22)     # crossing 0, 1 or several 4-word blocks
+# crossing 0, 1 or several 4-word blocks, by the kernel and, from _ROW_WORDS, row by row
+COUNTS = (1, 3, 4, 5, 8, 9, 13, 22, frng._ROW_WORDS - 1, frng._ROW_WORDS, 1001)
 
 
 def _sequential(seed, substream, offset, count):
@@ -70,7 +71,7 @@ ROW_OFFSETS = (
 
 
 @pytest.mark.parametrize("offsets", ROW_OFFSETS)
-@pytest.mark.parametrize("count", range(1, 10))
+@pytest.mark.parametrize("count", [*range(1, 10), frng._ROW_WORDS, 101])
 def test_per_row_offsets_match_stream(offsets, count):
     got = frng.uniforms(5, ROW_IDS, offsets, count)
     assert got.shape == (ROW_IDS.size, count)

@@ -366,6 +366,30 @@ def test_decode_screen_rescores_only_near_maxima_on_z(monkeypatch):
             assert (scores[t, sorted(k)] >= scores[t].max() - 1e-6).all(), (seed, t)
 
 
+@pytest.mark.parametrize("eps, rescored", [(1e-6, 3), (1e-300, 7)])
+def test_decode_screen_slack_is_set_per_trial(monkeypatch, eps, rescored):
+    """Each trial's screen slack scales with the deltas on its own path, not
+    with the largest delta: on a one-state channel whose input 0 reaches
+    output 2 with probability eps, simulate at 65536 messages rescores 3
+    candidates at eps = 1e-6 and 7 at eps = 1e-300, where one slack from
+    n_hat * max|delta| rescored 603."""
+    ch = fsmc.channel_from_arrays(("s",), ("0", "1"), ("a", "b", "c"),
+                                  [[[[0.5, 0.5 - eps, eps]], [[0.3, 0.6, 0.1]]]], [1.0])
+    scheme = fsmc.build_scheme(ch, SchemeConfig(rate=0.04, gamma=0.85, n=300, trials=20, seed=1))
+    assert scheme.config.message_count == 65536
+    counted = []
+    rescore = yi._exact_scores
+
+    def spy(scheme_, ss, obs, w, table=None):
+        if table is None:                           # the rescoring, not the seed
+            counted.append(len(w))
+        return rescore(scheme_, ss, obs, w, table)
+
+    monkeypatch.setattr(yi, "_exact_scores", spy)
+    fsmc.simulate(scheme)
+    assert sum(counted) == rescored
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_decode_matches_brute_force_on_random_sparse_channels(monkeypatch, seed):
     """Random channels of 1-4 states, 2-3 inputs and 2-3 outputs whose zero
