@@ -11,7 +11,6 @@ Hoeffding-Azuma rate, which azuma_tail_check verifies by Monte Carlo.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +75,6 @@ class ControlGrid:
         """Exact-identity membership (byte-level); None if absent."""
         return self._index.get(u.key())
 
-    def nearest(self, u: InputDist) -> int:
-        """Closest grid point in max-coordinate distance; first on ties."""
-        dists = [float(np.max(np.abs(u.weights - p.weights))) for p in self.points]
-        return int(np.argmin(dists))
-
     def matrix(self) -> np.ndarray:
         return np.stack([p.weights for p in self.points])
 
@@ -111,7 +105,6 @@ class EmpiricalMeasure:
     grid: ControlGrid
     counts: np.ndarray      # (S, K) integer visit counts
     n: int
-    snapped: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.counts)
@@ -289,67 +282,61 @@ def _as_policy_callable(policy, ch):
     return policy
 
 
-def _grid_lookup(grid: ControlGrid, snap: bool = False):
-    """lookup(u, t) -> (u, k, cdf, last): grid index k of policy output u, and
-    the row lists of u's weights, found once per object (by id) or per value
-    (by key).  An output off the grid raises, naming step t, unless snap,
-    which rounds it to the nearest point in max-coordinate distance."""
+def _grid_lookup(grid: ControlGrid):
+    """lookup(u, t) -> grid index of policy output u, by id once an object has
+    been seen, else by its exact bytes.  An output off the grid raises, naming
+    step t."""
     K = len(grid)
-    by_key = {}                              # u.key() -> (k, cdf, last)
-    by_id = {}                               # id(u) -> (u, k, cdf, last); u keeps its id taken
+    by_id = {}                               # id(u) -> (u, k); u keeps its id taken
 
     def lookup(u, t):
         hit = by_id.get(id(u))
         if hit is None:
-            found = by_key.get(u.key())
-            if found is None:
-                k = grid.index_of(u)
-                if k is None:
-                    if not snap:
-                        raise ChannelError(f"policy output at step {t} is not a grid point")
-                    k = grid.nearest(u)
-                found = by_key[u.key()] = (k, *_rng.row_lists(u.weights))
-            hit = (u, *found)
+            k = grid.index_of(u)
+            if k is None:
+                raise ChannelError(f"policy output at step {t} is not a grid point")
+            hit = (u, k)
             if len(by_id) < K:               # a policy of fresh objects fills this once
                 by_id[id(u)] = hit
-        return hit
+        return hit[1]
 
     return lookup
 
 
 def simulate_trajectory(ch, policy, grid: ControlGrid, n: int, seed: int,
-                        snap: bool = False, substream: int = 0) -> EmpiricalMeasure:
+                        substream: int = 0) -> EmpiricalMeasure:
     """Roll out a (possibly history-dependent) policy for n steps.
 
     policy is a StationaryPolicy or a callable (states, outputs) -> InputDist,
     where states has one more entry than outputs (the current state is
-    states[-1]).  Counts accumulate on S x grid; the control must be a grid
-    member byte-for-byte unless snap=True, which rounds to the nearest point
-    in max-coordinate distance (recorded on the result).
+    states[-1]).  Counts accumulate on S x grid; each control must be a grid
+    member byte-for-byte.  Step t's input and (next state, output) cell are
+    drawn up front for every grid point and every (state, input) pair, with
+    uniforms 2t + 1 and 2t + 2 of substream (seed, substream), so memory is
+    (K + S X) n cells; the walk then picks the drawn cells it visits.
     """
     if n < 1:
         raise ChannelError("horizon must be positive")
     policy = _as_policy_callable(policy, ch)
-    S, Y = ch.n_states, ch.n_outputs
-    pair_cdf, pair_last = _rng.row_lists(ch.kernel.reshape(S, ch.n_inputs, S * Y))
-    init_cdf, init_last = _rng.row_lists(ch.initial_dist)
-    gen = _rng.stream(seed, substream)
-    u01 = gen.random(2 * n + 1).tolist()
-    K = len(grid)
+    S, X, Y, K = ch.n_states, ch.n_inputs, ch.n_outputs, len(grid)
+    u = _rng.stream(seed, substream).random(2 * n + 1)
+    states, outputs = [int(_rng.draw(*_rng.inverse_cdf(ch.initial_dist), 0, u[0]))], []
+    # inputs[k][t]: grid point k's input at step t; cells[s X + x][t]: the (s, x) cell
+    inputs = _rng.draw(*_rng.inverse_cdf(grid.matrix()),
+                       np.arange(K)[:, None], u[1::2]).tolist()
+    cells = _rng.draw(*_rng.inverse_cdf(ch.kernel.reshape(S * X, S * Y)),
+                      np.arange(S * X)[:, None], u[2::2]).tolist()
     counts = [0] * (S * K)                   # visits to (s, k) at s * K + k
-    lookup = _grid_lookup(grid, snap)
-    states = [min(bisect_right(init_cdf, u01[0]), init_last)]
-    outputs = []
+    lookup = _grid_lookup(grid)
     for t in range(n):
-        _, k, cdf, last = lookup(policy(states, outputs), t)
+        k = lookup(policy(states, outputs), t)
         s = states[-1]
         counts[s * K + k] += 1
-        x = min(bisect_right(cdf, u01[2 * t + 1]), last)
-        flat = min(bisect_right(pair_cdf[s][x], u01[2 * t + 2]), pair_last[s][x])
+        flat = cells[s * X + inputs[k][t]][t]
         states.append(flat // Y)
         outputs.append(flat % Y)
     counts = np.array(counts, dtype=np.int64).reshape(S, K)
-    return EmpiricalMeasure(grid, counts, n, snapped=snap)
+    return EmpiricalMeasure(grid, counts, n)
 
 
 def _stationary_grid_map(policy, grid: ControlGrid):
@@ -397,7 +384,7 @@ def _occupation_counts(ch, policy, grid: ControlGrid, n: int, seed: int,
                 for (states, outputs), v, o in zip(paths, s.tolist(), y.tolist()):
                     states.append(v)
                     outputs.append(o)
-            return np.array([lookup(policy(states, outputs), t)[1] for states, outputs in paths],
+            return np.array([lookup(policy(states, outputs), t) for states, outputs in paths],
                             dtype=np.intp)
     counts = np.zeros((len(trials), S, K), dtype=np.int64)
     # flat cell of (trial, s, k): one per trial a step, so none repeats

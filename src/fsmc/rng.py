@@ -14,7 +14,9 @@ A uniform u picks a cell from weights by inverse CDF: the cell is
 min(#{cdf <= u}, last), where cdf is the running sum of the weights and last
 the index of the last positive weight, so zero-mass cells stay unreachable
 even when the running sum ends below 1.  `inverse_cdf` builds tables of
-such rows cell-major; `draw` applies the rule to arrays by flat row index.
+such rows cell-major; `draw` applies the rule to arrays by flat row index,
+and is the only place the rule is written: one-trial paths too draw every
+cell they might need with it, then walk the chain over the drawn cells.
 """
 from __future__ import annotations
 
@@ -62,12 +64,6 @@ def draw(cols, last, rows, u):
     for col in cols[:-1]:         # the largest sum is <= u only if all are: count >= last
         cell += col.take(rows) <= u
     return np.minimum(cell, last.take(rows), out=cell)
-
-
-def row_lists(weights):
-    """inverse_cdf's table as nested lists shaped like weights, for bisect."""
-    shape, (cols, last) = np.shape(weights), inverse_cdf(weights)
-    return cols.T.reshape(shape).tolist(), last.reshape(shape[:-1]).tolist()
 
 
 def _mulhilo(m: int, x: np.ndarray):

@@ -23,7 +23,7 @@ block constants plus 18 bytes a trial-epoch (see simulate).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -120,8 +120,6 @@ class Scheme:
         llr[(p0 > 0.0) & (p1 == 0.0)] = math.inf
         llr[(p0 == 0.0) & (p1 > 0.0)] = -math.inf
         self._llr_tab = llr
-        # the same tables as nested lists, for one trial at a time (_phase2_one)
-        self._lists = (*_rng.row_lists(flat[on_f]), llr.tolist())
         self._codebook = None
 
     # -- lazy codebook ------------------------------------------------------
@@ -277,16 +275,19 @@ def _phase2_batch(scheme, bits, s0, u):
 
 
 def _phase2_one(scheme, bit, s, u):
-    """_phase2_batch for one trial in Python scalars, with the same draws and
-    the same left-to-right LLR sum; returns (decided, llr, end_state)."""
-    cdf, last, tab = scheme._lists
-    cdf, last, n_out, stop = cdf[bit], last[bit], scheme._Y, len(u) - 1
-    llr = 0.0
-    for t, ut in enumerate(u):
-        v, y = divmod(min(bisect_right(cdf[s], ut), last[s]), n_out)
-        if t < stop:                                 # the last next-state is unobserved
-            llr += tab[s][v][y]
-        s = v
+    """_phase2_batch for one trial: each step's cell is drawn for every state
+    up front, the walk picks the visited ones, and the LLR is their in-order
+    (cumsum) sum; returns (decided, llr, end_state)."""
+    S, n_cells = scheme._S, scheme._S * scheme._Y
+    rows = scheme._verify_rows[bit * S:(bit + 1) * S, None]
+    cells = _rng.draw(*scheme._pair, rows, u).tolist()     # cells[s][t]
+    at = []                                         # (s, cell) at s S Y + cell, as in _llr_tab
+    for t in range(len(u)):
+        c = cells[s][t]
+        at.append(s * n_cells + c)
+        s = c // scheme._Y
+    # the last next-state is unobserved: its cell adds no term
+    llr = float(np.cumsum(scheme._llr_tab.reshape(-1).take(at[:-1]))[-1])
     return (0 if llr / len(u) >= scheme._accept_at else 1), llr, s
 
 
@@ -294,11 +295,22 @@ def _draw_initial(scheme, u):
     return _rng.draw(*scheme._init, 0, u)
 
 
+def _index(value, count: int, what: str) -> int:
+    """value as an int in [0, count); anything else, bools too, is refused."""
+    try:
+        i = -1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        i = -1
+    if not 0 <= i < count:
+        raise ChannelError(f"{what} must be an integer in [0, {count})")
+    return i
+
+
 def _start(scheme, gen, start_state) -> int:
-    """start_state if given, else drawn with one uniform from gen."""
+    """start_state if given (checked), else drawn with one uniform from gen."""
     if start_state is None:
         return int(_draw_initial(scheme, gen.random()))
-    return int(start_state)
+    return _index(start_state, scheme._S, "start state")
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +322,7 @@ def run_phase1(scheme, w: int, gen, start_state: int | None = None):
     Draws one uniform for the initial state when start_state is None, then
     n_hat channel uses from gen.
     """
-    if not 0 <= w < scheme.config.message_count:
-        raise ChannelError("message index out of range")
+    w = _index(w, scheme.config.message_count, "message index")
     s0 = _start(scheme, gen, start_state)
     u = gen.random((1, scheme.config.n_hat))
     decoded, s_end, ss = _phase1_batch(scheme, np.array([w]), np.array([s0]), u)
@@ -321,10 +332,9 @@ def run_phase1(scheme, w: int, gen, start_state: int | None = None):
 
 def run_phase2(scheme, bit: int, gen, start_state: int | None = None):
     """One verification phase; returns (decided bit, llr, end state)."""
-    if bit not in (0, 1):
-        raise ChannelError("bit must be 0 or 1")
+    bit = _index(bit, 2, "bit")
     s0 = _start(scheme, gen, start_state)
-    return _phase2_one(scheme, bit, s0, gen.random(scheme.config.n_tilde).tolist())
+    return _phase2_one(scheme, bit, s0, gen.random(scheme.config.n_tilde))
 
 
 def run_trial(scheme, w: int, gen, start_state: int | None = None):

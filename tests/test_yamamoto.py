@@ -12,7 +12,8 @@ import fsmc
 from fsmc import ChannelError, SchemeConfig
 from fsmc import yamamoto_itoh as yi
 from fsmc import rng as frng
-from conftest import make_bsc, make_random_channel, make_sparse_zero_error, make_z
+from conftest import (make_bsc, make_random_channel, make_sparse_zero_error, make_z,
+                      sparse_channel)
 
 # frozen (see test_oracles)
 BSC_D = 1.7577796618689758
@@ -502,12 +503,14 @@ def _sparse_channel(seed):
 
 
 def test_phase2_one_trial_path_matches_batch_path():
-    """run_phase2 and run_trial use a scalar copy of _phase2_batch; it must
-    give the same end state, the same LLR bits and the same decision, also
-    for uniforms at the ends of [0, 1) and for thresholds that short phases
-    straddle."""
+    """run_phase2 and run_trial walk one trial over cells drawn for every
+    state (_phase2_one); it must give _phase2_batch's end state, LLR bits and
+    decision, also for uniforms at the ends of [0, 1), for thresholds that
+    short phases straddle, and on sparse channels of up to 8 states and 3
+    outputs whose LLR tables hold zero cells and +-inf."""
     channels = [make_random_channel(1), make_random_channel(2, n_states=3, n_outputs=3),
-                _sparse_channel(0), _sparse_channel(1), make_z(), make_bsc(0.1)]
+                _sparse_channel(0), _sparse_channel(1), make_z(), make_bsc(0.1),
+                *(sparse_channel(seed) for seed in (8, 14, 39, 41))]
     top = 1.0 - 2.0 ** -53                           # the largest uniform
     for i, ch in enumerate(channels):
         cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
@@ -523,7 +526,7 @@ def test_phase2_one_trial_path_matches_batch_path():
                 decided, s_end, llr = yi._phase2_batch(scheme, np.array([bit]),
                                                        np.array([s0]), u[None, :])
                 want = (int(decided[0]), float(llr[0]), int(s_end[0]))
-                got = yi._phase2_one(scheme, bit, s0, u.tolist())
+                got = yi._phase2_one(scheme, bit, s0, u)
                 assert repr(got) == repr(want), (i, n, threshold)
 
 
@@ -625,6 +628,28 @@ def test_run_trial_rejects_out_of_range_message():
     for w in (-1, scheme.config.message_count):
         with pytest.raises(ChannelError):
             fsmc.run_trial(scheme, w, frng.stream(0, 0))
+
+
+BAD_STARTS = (-1, 2, 1.7, True, np.int64(-1), "1")
+BAD_MESSAGES = (True, 1.5, -1, 20, np.float64(1.0), None)
+BAD_INDICES = ([(entry, "start", v) for entry in ("phase1", "phase2", "trial") for v in BAD_STARTS]
+               + [(entry, "message", v) for entry in ("phase1", "trial") for v in BAD_MESSAGES])
+
+
+@pytest.mark.parametrize("entry, kind, bad", BAD_INDICES)
+def test_single_trial_entry_points_take_only_integer_indices_in_range(entry, kind, bad):
+    """run_phase1, run_phase2 and run_trial refuse a message index or start
+    state that is not an integer (bools too) or lies outside [0, count) with
+    ChannelError, and take numpy integers as the ints they equal."""
+    ch = fsmc.make_example(fsmc.gamma_params(0.5))           # two states, 20 messages
+    scheme = fsmc.build_scheme(ch, SchemeConfig(rate=0.15, gamma=0.6, n=20))
+    assert (ch.n_states, scheme.config.message_count) == (2, 20)
+    run = {"phase1": lambda w, s: fsmc.run_phase1(scheme, w, frng.stream(0, 1), s),
+           "phase2": lambda w, s: fsmc.run_phase2(scheme, 1, frng.stream(0, 1), s),
+           "trial": lambda w, s: fsmc.run_trial(scheme, w, frng.stream(0, 1), s)}[entry]
+    assert repr(run(np.int64(3), np.int64(1))) == repr(run(3, 1))
+    with pytest.raises(ChannelError, match="must be an integer in"):
+        run(bad, 1) if kind == "message" else run(3, bad)
 
 
 # ---------------------------------------------------------------------------
