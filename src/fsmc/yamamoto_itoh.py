@@ -34,7 +34,7 @@ from .planner import BurnashevResult, CapacityResult, burnashev_coefficient, cap
 
 MESSAGE_CAP = 1 << 16
 _MESSAGE_BLOCK = 4096             # codewords per block: drawn, and indicator in the decode screen
-_SCORE_BLOCK = 1 << 20            # float32 entries per score and per-use block
+_SCORE_BLOCK = 1 << 20            # entries per score, per-use and codebook-draw block
 _POOL = 1 << 12                   # trials simulate steps at once: its working set
 
 
@@ -126,17 +126,20 @@ class Scheme:
 
     @property
     def codebook(self) -> np.ndarray:
-        """(message_count, n_hat, S) int8 array of inputs, drawn i.i.d. from pi*."""
+        """(message_count, n_hat, S) int8 array of inputs, drawn i.i.d. from pi*
+        in place, in blocks whose temporaries stay within _SCORE_BLOCK entries."""
         if self._codebook is None:
             cfg = self.config
-            w_total, n_hat, S = cfg.message_count, cfg.n_hat, self._S
+            n_hat, S = cfg.n_hat, self._S
             policy = _rng.inverse_cdf(self.capacity_result.optimal_policy.matrix())   # row s
             gen = _rng.stream(cfg.seed, _rng.CODEBOOK_STREAM)
-            blocks = []
-            for lo in range(0, w_total, _MESSAGE_BLOCK):    # blocks bound memory, not the draws
-                u = gen.random((min(lo + _MESSAGE_BLOCK, w_total) - lo, n_hat, S))
-                blocks.append(_rng.draw(*policy, np.arange(S), u).astype(np.int8))
-            self._codebook = np.concatenate(blocks, axis=0)
+            cb = np.empty((cfg.message_count, n_hat, S), dtype=np.int8)
+            m_blk = max(1, min(_MESSAGE_BLOCK, cb.shape[0], _SCORE_BLOCK // (n_hat * S)))
+            u = np.empty((m_blk, n_hat, S))     # one buffer: per-block ones get trimmed, re-faulted
+            for lo in range(0, cb.shape[0], m_blk):   # blocks bound memory, not the draws
+                part = cb[lo:lo + m_blk]
+                part[...] = _rng.draw(*policy, np.arange(S), gen.random(out=u[:len(part)]))
+            self._codebook = cb
         return self._codebook
 
 

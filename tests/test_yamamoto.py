@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -116,6 +117,52 @@ def test_codebook_uses_dedicated_stream():
     g_trial = frng.stream(7, 0)
     g_code = frng.stream(7, frng.CODEBOOK_STREAM)
     assert g_trial.random(4).tolist() != g_code.random(4).tolist()
+
+
+# (channel, rate, n, seed, sha256 of the codebook bytes), recorded from the
+# codebook drawn in blocks of 4096 codewords whatever their length
+MULTI_STATE_CODEBOOKS = [
+    ("isi", 0.15, 60, 11, "9cbd915b53f8b032e8b8851c2fc2af28d4b1b6f2b5fe366411ffa5cc73dc1911"),
+    (1, 0.2, 40, 101, "dbf51bd18135f4c84c1a5af69bbc35aa681cd0d8e19adc687d0394d5d0dc7200"),
+    (14, 0.08, 90, 114, "0e3f45807a637f7e3a40511f243d7234e59fbd3ce85d366a8771a5b1a0929b7d"),
+    (18, 0.025, 280, 118, "f606ecf79aa5ec09ee32a56ee66967d3d0fae036f83a7b0e71838b01a184cb12"),
+    (39, 0.16, 50, 139, "dbf7928176a5f87fda9bf6f849fd6ec8e8ad9ebfeace5f267de95355df410c85"),
+]
+
+
+@pytest.mark.parametrize("name, rate, n, seed, digest", MULTI_STATE_CODEBOOKS)
+def test_multi_state_codebooks_are_pinned(monkeypatch, name, rate, n, seed, digest):
+    """The two-state ISI example (8103 x 36 x 2) and sparse channels of 2 to
+    8 states, two with three inputs: the pinned bytes at the default block
+    budget and at budgets of one and of a few codewords per block."""
+    ch = fsmc.make_example(fsmc.gamma_params(0.5)) if name == "isi" else sparse_channel(name)
+    assert ch.n_states >= 2
+    cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
+    cfg = SchemeConfig(rate=rate, gamma=0.6, n=n, trials=1, seed=seed)
+    for budget in (yi._SCORE_BLOCK, 1000, 1):
+        monkeypatch.setattr(yi, "_SCORE_BLOCK", budget)
+        cb = fsmc.build_scheme(ch, cfg, cap, exp).codebook
+        assert cb.shape == (cfg.message_count, cfg.n_hat, ch.n_states) and cb.dtype == np.int8
+        assert hashlib.sha256(cb.tobytes()).hexdigest() == digest, budget
+
+
+def test_codebook_build_memory_is_bounded_by_the_score_block(monkeypatch):
+    """The codebook is drawn in place, a block of at most _SCORE_BLOCK
+    entries at a time: the build's traced peak is the M n_hat S int8 array
+    plus one block's float64 uniforms and intp cells, and a third such
+    block for the compare mask and numpy's 64 KB ufunc buffers; not a list of
+    blocks, their concatenated copy and 4096-codeword temporaries."""
+    ch = fsmc.make_example(fsmc.gamma_params(0.5))
+    scheme = fsmc.build_scheme(ch, SchemeConfig(rate=0.15, gamma=0.6, n=60, trials=1, seed=11))
+    monkeypatch.setattr(yi, "_SCORE_BLOCK", 1 << 14)
+    tracemalloc.start()
+    try:
+        cb = scheme.codebook
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cb.shape[0] // (yi._SCORE_BLOCK // cb[0].size) >= 16       # blocks drawn
+    assert peak <= cb.nbytes + 3 * 8 * yi._SCORE_BLOCK, (peak, cb.nbytes)
 
 
 # ---------------------------------------------------------------------------
