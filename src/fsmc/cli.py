@@ -161,8 +161,6 @@ def cmd_simulate(args) -> int:
                        seed=args.seed, confirm_threshold=args.threshold,
                        max_epochs=args.max_epochs)
     scheme = build_scheme(ch, cfg)
-    if scheme.infinite_d and args.threshold is not None:
-        raise ChannelError("--threshold does not apply when D = +inf: only LLR +inf confirms")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("trial,epoch,decoded,correct,sent_bit,decided_bit,llr\n")
@@ -170,9 +168,9 @@ def cmd_simulate(args) -> int:
             def sink(trial, tr):
                 fh.write(f"{trial},{tr.epoch},{tr.decoded},{int(tr.phase1_correct)},"
                          f"{tr.sent_bit},{tr.decided_bit},{_fmt(tr.llr)}\n")
-            report = simulate(scheme, trace_sink=sink, jobs=args.jobs)
+            report = simulate(scheme, trace_sink=sink)
     else:
-        report = simulate(scheme, jobs=args.jobs)
+        report = simulate(scheme)
     doc = report.to_json_dict()
     doc["message_count"] = cfg.message_count
     doc["n_hat"] = cfg.n_hat
@@ -183,7 +181,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep_example(args) -> int:
     rows = sweep_gamma(p_g=args.pg, p_b=args.pb, alpha0=args.alpha0, beta0=args.beta0,
-                       gamma_step=args.gamma_step, jobs=args.jobs)
+                       gamma_step=args.gamma_step)
     cols = ["gamma", "C_nats", "piG_1", "piB_1", "D_nats",
             "klf00", "klf01", "klf10", "klf11"]
     sys.stdout.write(",".join(cols) + "\n")
@@ -197,8 +195,7 @@ def cmd_azuma(args) -> int:
     uni = InputDist.uniform(ch.n_inputs)
     grid = ControlGrid.with_points(ch.n_inputs, [uni])
     policy = StationaryPolicy.uniform(ch.n_states, ch.n_inputs)
-    doc = azuma_tail_check(ch, policy, grid, args.n, args.eps, args.trials,
-                           args.seed, jobs=args.jobs)
+    doc = azuma_tail_check(ch, policy, grid, args.n, args.eps, args.trials, args.seed)
     _emit_json(doc)
     return 0
 
@@ -219,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--renormalize", action="store_true",
                             help="repair row sums off by at most 1e-6")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="accepted and ignored; everything runs in one thread")
+                        help="accepted and ignored, for scripts that pass it; one thread runs all")
 
     sp = sub.add_parser("validate", help="check a channel file and report its structure")
     add_common(sp)

@@ -164,19 +164,25 @@ def div_cost(ch, s: int, u: InputDist):
     return best, best_x
 
 
+def _kl_tables(ch):
+    """Per-state KLs between input corners (0 where infinite), and where infinite."""
+    inf = ((ch.kernel[:, :, None] > 0.0) & (ch.kernel[:, None, :] == 0.0)).any(axis=(3, 4))
+    fin = np.zeros(inf.shape)
+    for s, x0, x1 in zip(*np.nonzero(~inf)):
+        fin[s, x0, x1] = kl_divergence(ch.kernel[s, x0], ch.kernel[s, x1]).value
+    return fin, inf
+
+
 def d_max(ch) -> ExtReal:
     """sup over states s and inputs u of d(s, u).
 
     d(s, u) is convex in u (sup of convex functions of an affine image), so
-    the outer sup is also attained at input corners.  Finiteness is equivalent
-    to lambda > 0, which is asserted.
+    the outer sup is also attained at input corners: it is the largest KL
+    between two corners of one state.  Finiteness is equivalent to lambda > 0,
+    which is asserted.
     """
-    best = None
-    for s in range(ch.n_states):
-        for x0 in range(ch.n_inputs):
-            val, _ = div_cost(ch, s, InputDist.point_mass(x0, ch.n_inputs))
-            if best is None or best < val:
-                best = val
+    fin, inf = _kl_tables(ch)
+    best = ExtReal.infinity() if inf.any() else ExtReal(float(fin.max()))
     lam, _ = lambda_values(ch)
     if best.is_finite != (lam > 0.0):
         raise ChannelError("d_max finiteness disagrees with lambda > 0")

@@ -131,15 +131,13 @@ def _best_divergence_for_f0(params: ExampleParams, f0):
 
 
 def sweep_gamma(p_g=DEFAULT_PG, p_b=DEFAULT_PB, alpha0=DEFAULT_ALPHA0,
-                beta0=DEFAULT_BETA0, gamma_step=0.01, jobs: int = 1):
+                beta0=DEFAULT_BETA0, gamma_step=0.01):
     """Capacity, optimal policy, and divergence landscape along the sweep.
 
     Returns one dict per gamma on the open grid (step, 2*step, ..., 1-step)
     with keys matching the CSV columns: gamma, C_nats, piG_1, piB_1, D_nats,
     klf00, klf01, klf10, klf11 (klfab = best divergence when the confirm map
-    sends a in G and b in B).  jobs is accepted and ignored: the rows are
-    computed in order in one thread, which was faster than a thread pool on
-    two cores.
+    sends a in G and b in B).  The rows are computed in order in one thread.
     """
     if not (math.isfinite(gamma_step) and gamma_step > 0.0):
         raise ChannelError(f"gamma_step must be positive and finite, got {gamma_step}")

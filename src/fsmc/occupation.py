@@ -399,7 +399,7 @@ def _occupation_counts(ch, policy, grid: ControlGrid, n: int, seed: int,
 
 
 def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
-                     trials: int, seed: int, jobs: int = 1) -> dict:
+                     trials: int, seed: int) -> dict:
     """Monte-Carlo check of the uniform concentration bound on F.
 
     Counts trajectories with ||F(empirical)||_inf >= eps + 1/n and compares
@@ -410,8 +410,7 @@ def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
     (_occupation_counts); F is taken per block and only the violation count
     kept, so memory is set by _BLOCK_WORDS and n, not by trials.  A
     history-dependent policy is called step-major, every trial's step t
-    before any trial's step t + 1.  jobs is accepted and ignored: trials run
-    in one thread.
+    before any trial's step t + 1.
     """
     if n < 1:
         raise ChannelError("horizon must be positive")

@@ -25,7 +25,7 @@ import numpy as np
 from . import rng as _rng
 from .channel import (ChannelError, InputDist, StationaryPolicy, induced_matrix,
                       is_no_isi, s_marginal)
-from .costs import ExtReal, kl_divergence, mi_cost
+from .costs import ExtReal, _kl_tables, kl_divergence, mi_cost
 from .ergodic import check_assumption1, stationary_measure
 
 _START_SEED = 2718281828459045  # fixed: `capacity` takes no seed and must be reproducible
@@ -279,15 +279,6 @@ def capacity_grid_oracle(ch, resolution: int) -> float:
 
 # ---------------------------------------------------------------------------
 # exponent coefficient
-
-def _kl_tables(ch):
-    """Per-state KLs between input corners (0 where infinite), and where infinite."""
-    inf = ((ch.kernel[:, :, None] > 0.0) & (ch.kernel[:, None, :] == 0.0)).any(axis=(3, 4))
-    fin = np.zeros(inf.shape)
-    for s, x0, x1 in zip(*np.nonzero(~inf)):
-        fin[s, x0, x1] = kl_divergence(ch.kernel[s, x0], ch.kernel[s, x1]).value
-    return fin, inf
-
 
 def _first_hitting(hit):
     """Lexicographically first map f with hit[s, f(s)] for some s: all zeros if

@@ -55,7 +55,8 @@ class SchemeConfig:
     n: int                         # channel uses per epoch
     trials: int = 1000
     seed: int = 0
-    confirm_threshold: float | None = None   # accept iff LLR/n_tilde >= this; None -> -D/4
+    confirm_threshold: float | None = None   # accept iff LLR/n_tilde >= this; None: -D/4,
+    # and +inf when D = +inf, where build_scheme refuses any value given
     max_epochs: int = 64
     message_count: int = field(init=False)
     n_hat: int = field(init=False)
@@ -98,11 +99,9 @@ class Scheme:
         self.config = config
         self.capacity_result = cap_result
         self.exponent_result = exp_result
-        self.confirm_threshold = threshold          # None only when D = +inf
-        self.infinite_d = exp_result.D.is_inf
         # accept iff llr / n_tilde >= this: with D = +inf only an LLR of +inf,
         # a transition the deny map cannot produce (draws never pick p = 0)
-        self._accept_at = math.inf if self.infinite_d else threshold
+        self.confirm_threshold = threshold
         S, X, Y = ch.n_states, ch.n_inputs, ch.n_outputs
         self._S, self._X, self._Y = S, X, Y
         k = ch.kernel
@@ -158,13 +157,12 @@ def build_scheme(ch, config: SchemeConfig, cap_result: CapacityResult | None = N
     if not config.rate / c_val < config.gamma < 1.0:
         raise ChannelError(
             f"gamma {config.gamma} outside ({config.rate / c_val:.6g}, 1)")
-    if exp_result.D.is_inf:
-        threshold = config.confirm_threshold         # reported only: the test is at +inf
-    elif config.confirm_threshold is not None:
-        threshold = float(config.confirm_threshold)
-    else:
-        threshold = -exp_result.D.value / 4.0
-    return Scheme(ch, config, cap_result, exp_result, threshold)
+    threshold = config.confirm_threshold
+    if exp_result.D.is_inf and threshold is not None:
+        raise ChannelError("confirm threshold does not apply when D = +inf: only LLR +inf confirms")
+    if threshold is None:
+        threshold = math.inf if exp_result.D.is_inf else -exp_result.D.value / 4.0
+    return Scheme(ch, config, cap_result, exp_result, float(threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,7 @@ def _phase2_batch(scheme, bits, s0, u):
         if t < n_tilde - 1:                          # the last next-state is unobserved
             llr = llr + tab.take(s * n_cells + cell)
         s = cell // scheme._Y
-    return np.where(llr / n_tilde >= scheme._accept_at, 0, 1), s, llr
+    return np.where(llr / n_tilde >= scheme.confirm_threshold, 0, 1), s, llr
 
 
 def _phase2_one(scheme, bit, s, u):
@@ -291,7 +289,7 @@ def _phase2_one(scheme, bit, s, u):
         s = c // scheme._Y
     # the last next-state is unobserved: its cell adds no term
     llr = float(np.cumsum(scheme._llr_tab.reshape(-1).take(at[:-1]))[-1])
-    return (0 if llr / len(u) >= scheme._accept_at else 1), llr, s
+    return (0 if llr / len(u) >= scheme.confirm_threshold else 1), llr, s
 
 
 def _draw_initial(scheme, u):
@@ -393,12 +391,11 @@ class SimReport:
         return dict(asdict(self), p_e_ci=list(self.p_e_ci))    # fields in declared order
 
 
-def simulate(scheme, trace_sink=None, jobs=1) -> SimReport:
+def simulate(scheme, trace_sink=None) -> SimReport:
     """Run config.trials independent transmissions of uniform random messages.
 
     trace_sink, if given, receives (trial_index, EpochTrace) for every epoch,
-    ordered by (trial, epoch).  jobs is accepted and ignored: results never
-    depend on how trials are batched, so there is nothing to schedule.
+    ordered by (trial, epoch).
 
     Trials run in a pool of at most _POOL rows, one epoch per step; trials
     that stop leave it and the next trial ids take their rows, so the working

@@ -87,7 +87,7 @@ def test_criterion_02_solver_vs_grid_oracle():
 
 def test_criterion_03_sweep_curve_properties():
     t0 = time.perf_counter()
-    rows = fsmc.sweep_gamma(jobs=4)       # defaults: step 0.01, 99 rows
+    rows = fsmc.sweep_gamma()       # defaults: step 0.01, 99 rows
     assert len(rows) == 99
 
     # (a) the optimal policy is within 0.02 of uniform at gamma = 0.7
@@ -165,7 +165,7 @@ def test_criterion_05_azuma_tail_checks():
 
         for pol in (stationary, randomized, history_dependent):
             out = azuma_tail_check(ch, pol, grid, n=500, eps=0.2,
-                                   trials=2000, seed=0, jobs=4)
+                                   trials=2000, seed=0)
             assert out["pass"] is True, (name, out)
             checked += 1
     assert checked == 9
@@ -182,7 +182,7 @@ def test_criterion_06_scheme_mechanics():
     pe_applicable = []
     for n in (20, 40, 80):
         cfg = SchemeConfig(rate=0.18, gamma=0.6, n=n, trials=10_000, seed=0)
-        rep = fsmc.simulate(fsmc.build_scheme(make_bsc(0.1), cfg), jobs=4)
+        rep = fsmc.simulate(fsmc.build_scheme(make_bsc(0.1), cfg))
         means.append(rep.mean_epochs)
 
         pe = rep.bound_checks["pebound"]
@@ -249,7 +249,7 @@ def test_criterion_08_zero_error_regime():
     assert fsmc.burnashev_coefficient(ch).D.is_inf
     for n in (20, 40):
         cfg = SchemeConfig(rate=0.15, gamma=0.6, n=n, trials=10_000, seed=0)
-        rep = fsmc.simulate(fsmc.build_scheme(ch, cfg), jobs=4)
+        rep = fsmc.simulate(fsmc.build_scheme(ch, cfg))
         assert rep.error_count == 0, (n, rep.error_count)
         assert rep.aborted_trials == 0
     _report(8, 60.0, time.perf_counter() - t0,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -155,6 +156,12 @@ def test_simulate_jobs_invariant(bsc_file):
     a = run_cli("simulate", bsc_file, *SIM_ARGS, "--jobs", "1", check=True)
     b = run_cli("simulate", bsc_file, *SIM_ARGS, "--jobs", "8", check=True)
     assert a.stdout == b.stdout
+
+
+def test_library_takes_no_jobs():
+    """--jobs is the CLI's alone: no library function takes a jobs argument."""
+    for fn in (fsmc.simulate, fsmc.azuma_tail_check, fsmc.sweep_gamma):
+        assert "jobs" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_simulate_jobs_invariant_with_likelihood_ties(bsc_file):

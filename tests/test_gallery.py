@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsmc
-from fsmc import ChannelError
+from fsmc import ChannelError, cli
 
 # frozen (see test_oracles)
 SYM_C = 0.5266520663081051
@@ -116,10 +116,12 @@ def test_sweep_shape_and_grid():
                                   r["klf11"]) - 1e-12
 
 
-def test_sweep_jobs_invariant():
-    a = fsmc.sweep_gamma(gamma_step=0.2, jobs=1)
-    b = fsmc.sweep_gamma(gamma_step=0.2, jobs=4)
-    assert a == b
+def test_sweep_jobs_invariant(capsys):
+    outs = []
+    for jobs in ("1", "4"):
+        assert cli.main(["sweep-example", "--gamma-step", "0.2", "--jobs", jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_sweep_rejects_bad_params():

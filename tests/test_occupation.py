@@ -259,7 +259,7 @@ def test_azuma_fast_path_matches_scalar_path():
     want = _oracle_azuma(ch, pol, grid, 200, 0.15, 150, 1)
     assert azuma_tail_check(ch, pol, grid, n=200, eps=0.15, trials=150, seed=1) == want
     assert azuma_tail_check(ch, same_policy, grid, n=200, eps=0.15, trials=150,
-                            seed=1, jobs=3) == want
+                            seed=1) == want
 
 
 def test_azuma_rejects_small_trial_counts():

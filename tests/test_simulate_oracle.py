@@ -119,7 +119,7 @@ def test_zero_error_channel_matches_oracle(monkeypatch, trials):
     monkeypatch.setattr(frng, "_CHUNK_BLOCKS", 30)    # epoch 0 reads 6 blocks: 5 trials a pass
     scheme = fsmc.build_scheme(make_z(), SchemeConfig(rate=0.15, gamma=0.6, n=20,
                                                       trials=trials, seed=3))
-    assert scheme.infinite_d
+    assert scheme.confirm_threshold == math.inf
     _assert_same(scheme)
 
 

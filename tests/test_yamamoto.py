@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -89,10 +90,17 @@ def test_threshold_defaults_to_quarter_of_divergence():
 
 
 def test_zero_error_channel_uses_forbidden_transition_rule():
-    ch = make_z()
-    scheme = fsmc.build_scheme(ch, SchemeConfig(rate=0.15, gamma=0.6, n=20))
-    assert scheme.infinite_d
-    assert scheme.confirm_threshold is None
+    """With D = +inf the accept level is +inf, set by build_scheme alone: a
+    threshold given there is refused, not kept and ignored."""
+    for ch in (make_z(), make_sparse_zero_error()):
+        cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
+        assert exp.D.is_inf
+        cfg = SchemeConfig(rate=0.3 * cap.C, gamma=0.6, n=20)
+        assert fsmc.build_scheme(ch, cfg, cap, exp).confirm_threshold == math.inf
+        for threshold in (5.0, -1.0, 0.0, math.inf, -math.inf):
+            cfg_t = dataclasses.replace(cfg, confirm_threshold=threshold)
+            with pytest.raises(ChannelError, match="does not apply when D = \\+inf"):
+                fsmc.build_scheme(ch, cfg_t, cap, exp)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +571,7 @@ def test_phase2_one_trial_path_matches_batch_path():
         cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
         for n, threshold in ((200, None), (4, -0.5), (4, 0.2), (4, 1.0)):
             cfg = SchemeConfig(rate=0.3 * cap.C, gamma=0.5, n=n, seed=i,
-                               confirm_threshold=threshold)
+                               confirm_threshold=None if exp.D.is_inf else threshold)
             scheme = fsmc.build_scheme(ch, cfg, cap, exp)
             gen = frng.stream(i, n)
             rows = [gen.random(cfg.n_tilde) for _ in range(40)]
@@ -601,7 +609,7 @@ def test_zero_error_rule_is_the_llr_test_at_infinity():
         cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
         assert exp.D.is_inf
         for n in (4, 7, 60):
-            cfg = SchemeConfig(rate=0.3 * cap.C, gamma=0.5, n=n, seed=i, confirm_threshold=-1.0)
+            cfg = SchemeConfig(rate=0.3 * cap.C, gamma=0.5, n=n, seed=i)
             scheme = fsmc.build_scheme(ch, cfg, cap, exp)
             gen = frng.stream(i, n)
             rows = [gen.random(cfg.n_tilde) for _ in range(60)]
@@ -649,8 +657,8 @@ def test_run_trial_is_its_phases_in_turn():
     for i, ch in enumerate(channels):
         cap, exp = fsmc.capacity(ch), fsmc.burnashev_coefficient(ch)
         for n, threshold, max_epochs in ((20, None, 64), (6, 0.3, 3)):
-            cfg = SchemeConfig(rate=0.4 * cap.C, gamma=0.6, n=n, seed=i,
-                               confirm_threshold=threshold, max_epochs=max_epochs)
+            cfg = SchemeConfig(rate=0.4 * cap.C, gamma=0.6, n=n, seed=i, max_epochs=max_epochs,
+                               confirm_threshold=None if exp.D.is_inf else threshold)
             scheme = fsmc.build_scheme(ch, cfg, cap, exp)
             for k in range(25):
                 start, w = (None if k % 2 else k % ch.n_states), k % cfg.message_count
@@ -711,11 +719,10 @@ def test_simulate_frozen_pin():
     assert abs(rep.mean_llr_per_symbol_h0 - SIM_PIN_LLR_H0) < 1e-12
 
 
-def test_simulate_deterministic_and_jobs_invariant():
+def test_simulate_deterministic():
     r1 = fsmc.simulate(_bsc_scheme())
     r2 = fsmc.simulate(_bsc_scheme())
-    r8 = fsmc.simulate(_bsc_scheme(), jobs=8)
-    assert r1.to_json_dict() == r2.to_json_dict() == r8.to_json_dict()
+    assert r1.to_json_dict() == r2.to_json_dict()
 
 
 def test_simulate_trace_sink_ordering():
