@@ -7,6 +7,7 @@ Exit status is 0 exactly when no error occurred.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -202,6 +203,7 @@ def cmd_azuma(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache                     # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fsmc",

@@ -350,8 +350,8 @@ def _stationary_grid_map(policy, grid: ControlGrid):
     return np.asarray(idxs, dtype=np.int64)
 
 
-# uniforms a block of trials holds (2n + 1 a trial): the engine's working set
-_BLOCK_WORDS = 1 << 20
+# uniforms one window of a trial block holds: the engine's working set
+_BLOCK_WORDS = 1 << 18
 
 
 def _occupation_counts(ch, policy, grid: ControlGrid, n: int, seed: int,
@@ -361,6 +361,10 @@ def _occupation_counts(ch, policy, grid: ControlGrid, n: int, seed: int,
     policy, grid, n, seed, substream=trial) counts, from the same 2n + 1
     uniforms and the same inverse-CDF rule.
 
+    Word 0 draws the initial states; steps then run in windows of
+    max(1, _BLOCK_WORDS // (2 len(trials))), each reading its own uniforms by
+    counter, so at most max(_BLOCK_WORDS, 2 len(trials)) are held whatever n is.
+
     A StationaryPolicy maps the states to grid rows with one take.  Any other
     policy is called once per trial a step, in trial order, with that trial's
     own states and outputs lists, so it must be a function of its arguments.
@@ -368,8 +372,7 @@ def _occupation_counts(ch, policy, grid: ControlGrid, n: int, seed: int,
     S, X, Y, K = ch.n_states, ch.n_inputs, ch.n_outputs, len(grid)
     control = _rng.inverse_cdf(grid.matrix())                      # row k: grid point k
     pair = _rng.inverse_cdf(ch.kernel.reshape(S, X, S * Y))        # row s X + x
-    u = _rng.uniforms(seed, trials, 0, 2 * n + 1)
-    s = _rng.draw(*_rng.inverse_cdf(ch.initial_dist), 0, u[:, 0])
+    s = _rng.draw(*_rng.inverse_cdf(ch.initial_dist), 0, _rng.uniforms(seed, trials, 0, 1)[:, 0])
     if isinstance(policy, StationaryPolicy):
         state_to_k = _stationary_grid_map(policy, grid)
 
@@ -389,12 +392,16 @@ def _occupation_counts(ch, policy, grid: ControlGrid, n: int, seed: int,
     counts = np.zeros((len(trials), S, K), dtype=np.int64)
     # flat cell of (trial, s, k): one per trial a step, so none repeats
     at, y = np.arange(len(trials)) * (S * K), None
-    for t in range(n):
-        k = choose(t, s, y)
-        counts.reshape(-1)[at + s * K + k] += 1
-        ux, us = u[:, 2 * t + 1:2 * t + 3].T.copy()     # contiguous: draws read them K - 1 times
-        x = _rng.draw(*control, k, ux)
-        s, y = np.divmod(_rng.draw(*pair, s * X + x, us), Y)
+    window = max(1, _BLOCK_WORDS // (2 * len(trials)))
+    for t0 in range(0, n, window):
+        u = _rng.uniforms(seed, trials, 2 * t0 + 1, 2 * min(window, n - t0))
+        for t in range(t0, min(t0 + window, n)):
+            k = choose(t, s, y)
+            counts.reshape(-1)[at + s * K + k] += 1
+            ux, us = u[:, 2 * (t - t0):2 * (t - t0) + 2].T.copy()   # contiguous: read K - 1 times
+            x = _rng.draw(*control, k, ux)
+            s, y = np.divmod(_rng.draw(*pair, s * X + x, us), Y)
+        del u                                      # before the next window is read
     return counts
 
 
@@ -405,12 +412,12 @@ def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
     Counts trajectories with ||F(empirical)||_inf >= eps + 1/n and compares
     the frequency against 2|S| exp(-n eps^2 / 2) plus three binomial standard
     errors.  Requires trials >= 100.  Trial k reads substream k of seed, as
-    simulate_trajectory(..., substream=k) does.  Trials run in blocks of
-    max(1, _BLOCK_WORDS // (2n + 1)), each stepped together
-    (_occupation_counts); F is taken per block and only the violation count
-    kept, so memory is set by _BLOCK_WORDS and n, not by trials.  A
-    history-dependent policy is called step-major, every trial's step t
-    before any trial's step t + 1.
+    simulate_trajectory(..., substream=k) does.  Trials run in blocks, each
+    stepped together (_occupation_counts); F is taken per block and only the
+    violation count kept.  A StationaryPolicy's blocks hold _BLOCK_WORDS // 128
+    trials, so memory is bounded and work linear in n.  Other policies keep
+    per-trial histories: blocks of max(1, 4 _BLOCK_WORDS // (2n + 1)), called
+    step-major, every trial's step t before any trial's step t + 1.
     """
     if n < 1:
         raise ChannelError("horizon must be positive")
@@ -419,7 +426,8 @@ def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
     if not (0.0 < eps):
         raise ChannelError("eps must be positive")
 
-    per_block, bad = max(1, _BLOCK_WORDS // (2 * n + 1)), 0
+    per_block, bad = (_BLOCK_WORDS // 128 if isinstance(policy, StationaryPolicy)
+                      else max(1, 4 * _BLOCK_WORDS // (2 * n + 1))), 0
     for lo in range(0, trials, per_block):
         counts = _occupation_counts(ch, policy, grid, n, seed,
                                     np.arange(lo, min(lo + per_block, trials)))

@@ -158,6 +158,14 @@ def test_simulate_jobs_invariant(bsc_file):
     assert a.stdout == b.stdout
 
 
+def test_parser_is_built_once_and_reused_cleanly(bsc_file):
+    """cli.main reuses one parser; a parse leaves no option behind for the next."""
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().parse_args(["azuma", str(bsc_file), "--n", "7"]).n == 7
+    args = cli.build_parser().parse_args(["azuma", str(bsc_file)])
+    assert (args.n, args.eps, args.trials, args.func) == (500, 0.2, 1000, cli.cmd_azuma)
+
+
 def test_library_takes_no_jobs():
     """--jobs is the CLI's alone: no library function takes a jobs argument."""
     for fn in (fsmc.simulate, fsmc.azuma_tail_check, fsmc.sweep_gamma):

@@ -60,6 +60,14 @@ def _cases():
     for name, threshold in (("bsc", "-0.4"), ("z", "5"), ("sparse-1", "5")):
         argv = ("simulate", name) + sim + ("--threshold", threshold)
         out[" ".join(argv)] = argv
+    # horizons whose uniform windows split unevenly within a trial block; at
+    # eps 0.02 some trials violate and others do not, so each draw counts
+    for name in ("example-0.3", "sparse-16"):
+        for extra in (("--trials", "1000", "--n", "300"),
+                      ("--trials", "1000", "--n", "300", "--eps", "0.02"),
+                      ("--trials", "100", "--n", "2000", "--eps", "0.05")):
+            argv = ("azuma", name) + extra
+            out[" ".join(argv)] = argv
     return out
 
 

@@ -369,6 +369,37 @@ def test_engine_counts_match_trajectories_on_sparse_channels(seed):
         assert got.dtype == np.int64 and np.array_equal(got, want), kind
 
 
+@pytest.mark.parametrize("seed", SPARSE_SEEDS[:6])
+def test_engine_windows_split_unevenly_match_the_oracle(monkeypatch, seed):
+    """Windows of 1 and 7 steps at n = 40 (of 7, the last is 5 steps) count what
+    the stacked trajectories count, for stationary and history policies."""
+    ch = sparse_channel(seed)
+    grid, policies = _policies(ch)
+    trials = np.arange(5, 28)
+    for kind, pol in policies.items():
+        want = _oracle_counts(ch, pol, grid, 40, seed, trials.tolist())
+        for window in (1, 7):
+            monkeypatch.setattr(occupation, "_BLOCK_WORDS", 2 * window * len(trials))
+            got = occupation._occupation_counts(ch, pol, grid, 40, seed, trials)
+            assert np.array_equal(got, want), (kind, window)
+
+
+def _block_words(pol, per_block, n):
+    """The smallest _BLOCK_WORDS under which azuma_tail_check runs blocks of
+    per_block trials of policy pol at horizon n."""
+    if isinstance(pol, StationaryPolicy):
+        return 128 * per_block
+    return -(-per_block * (2 * n + 1) // 4)
+
+
+def _engine_calls(monkeypatch):
+    """A list to which each later _occupation_counts call appends its trial count."""
+    calls, engine = [], occupation._occupation_counts
+    monkeypatch.setattr(occupation, "_occupation_counts",
+                        lambda *args: calls.append(len(args[-1])) or engine(*args))
+    return calls
+
+
 @pytest.mark.parametrize("seed", SPARSE_SEEDS[:4])
 def test_azuma_blocks_split_unevenly_match_the_oracle(monkeypatch, seed):
     """Blocks of 1, 7 and 64 trials, the last one short, give the oracle's dict
@@ -376,14 +407,18 @@ def test_azuma_blocks_split_unevenly_match_the_oracle(monkeypatch, seed):
     ch = sparse_channel(seed)
     grid, policies = _policies(ch)
     n, trials = 40, 101
+    calls = _engine_calls(monkeypatch)
     for kind, pol in policies.items():
         f = occupation._balance(ch, grid, _oracle_counts(ch, pol, grid, n, seed, range(trials)) / n)
         dev = np.sort(np.abs(f).max(axis=1))
         eps = max(float(dev[trials // 2]) - 1.0 / n, 1e-3)
         want = _oracle_azuma(ch, pol, grid, n, eps, trials, seed)
         for per_block in (1, 7, 64, 1000):
-            monkeypatch.setattr(occupation, "_BLOCK_WORDS", per_block * (2 * n + 1))
+            monkeypatch.setattr(occupation, "_BLOCK_WORDS", _block_words(pol, per_block, n))
+            calls.clear()
             assert azuma_tail_check(ch, pol, grid, n, eps, trials, seed) == want, (kind, per_block)
+            assert calls[0] == min(per_block, trials) and sum(calls) == trials, (kind, calls)
+            assert len(calls) == -(-trials // per_block), (kind, per_block)
         assert 0.0 < want["empirical"] < 1.0 or dev[0] == dev[-1], kind
 
 
@@ -458,12 +493,12 @@ def test_engine_raises_on_an_off_grid_output_at_the_same_step():
 
 def test_azuma_memory_does_not_grow_with_trials(monkeypatch):
     """Blocks of 200 trials at n = 200: the traced peak at 4000 trials stays
-    at its value for 400 (4000 trials' windows alone would be 12.8 MB)."""
+    at its value for 400 (4000 trials' uniforms alone would be 12.8 MB)."""
     import tracemalloc
     ch = fsmc.make_example(fsmc.gamma_params(0.5))
     grid = ControlGrid.corners(2)
     pol = StationaryPolicy.deterministic((0, 1), 2)
-    monkeypatch.setattr(occupation, "_BLOCK_WORDS", 200 * 401)
+    monkeypatch.setattr(occupation, "_BLOCK_WORDS", _block_words(pol, 200, 200))
     azuma_tail_check(ch, pol, grid, n=200, eps=0.2, trials=100, seed=0)   # one-time set-up
     peaks = []
     for trials in (400, 4000):
@@ -474,6 +509,30 @@ def test_azuma_memory_does_not_grow_with_trials(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[0] < 1_000_000 and peaks[1] <= 1.1 * peaks[0] + 16_384, peaks
+
+
+def test_azuma_work_and_memory_do_not_grow_with_the_horizon(monkeypatch):
+    """A stationary policy at 1000 trials: n = 2000 runs as many engine calls
+    as n = 200 (one), and its traced peak stays at n = 200's, where one block
+    of 1000 trials with all 2n + 1 uniforms would hold 32 MB."""
+    import tracemalloc
+    ch = sparse_channel(16)
+    grid, policies = _policies(ch)
+    pol = policies["randomized"]
+    calls = _engine_calls(monkeypatch)
+    azuma_tail_check(ch, pol, grid, n=20, eps=0.2, trials=100, seed=0)   # one-time set-up
+    peaks, runs = [], []
+    for n in (200, 2000):
+        calls.clear()
+        tracemalloc.start()
+        try:
+            azuma_tail_check(ch, pol, grid, n=n, eps=0.05, trials=1000, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        runs.append(list(calls))
+    assert runs == [[1000], [1000]], runs
+    assert peaks[0] < 4_000_000 and peaks[1] <= 1.1 * peaks[0] + 16_384, peaks
 
 
 # ---------------------------------------------------------------------------

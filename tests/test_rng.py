@@ -166,6 +166,21 @@ def test_short_running_sum_clips_to_last_cell():
     assert frng.draw(cols, last, 0, TOP) == 9
 
 
+def test_draw_keeps_scalars_zero_dimensional():
+    """A scalar row and uniform, as when one trial draws its initial state,
+    give a 0-d cell; one-cell tables give cell 0 in every shape."""
+    cols, last = frng.inverse_cdf([0.25, 0.0, 0.75])
+    for u, want in ((0.0, 0), (0.25, 2), (TOP, 2)):
+        got = frng.draw(cols, last, 0, u)
+        assert got.shape == () and got.dtype == np.intp and int(got) == want
+    cols, last = frng.inverse_cdf([1.0])
+    assert frng.draw(cols, last, 0, TOP).shape == ()
+    assert frng.draw(cols, last, 0, 0.5) == 0
+    cols, last = frng.inverse_cdf(np.ones((3, 1)))
+    got = frng.draw(cols, last, np.arange(3)[:, None], np.full((3, 4), TOP))
+    assert got.shape == (3, 4) and not got.any()
+
+
 def test_draw_on_gathered_rows():
     """Rows picked per trial (B,) against one uniform per trial (B,)."""
     table = np.array([[0.0, 0.0, 0.3, 0.7, 0.0, 0.0],
