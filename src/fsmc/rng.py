@@ -5,10 +5,10 @@ Substream k of a seed is the Philox4x64-10 sequence keyed by (seed, k)
 word j is word j mod 4 of the block at counter j//4 + 1, and its uniform is
 (word >> 11) * 2^-53.  `stream` reads it in order as a numpy Generator;
 `uniforms` reads any window of it for many substreams at once, by counter,
-with no generator per substream: short windows by a vectorized kernel, long
-ones row by row through one re-keyed numpy Philox.  All agree bit for bit,
-so a trial's randomness depends only on (seed, trial), never on batching or
-scheduling.
+with no generator per substream: short windows by a vectorized kernel whose
+rounds run in place, long ones row by row through one re-keyed numpy Philox.
+All agree bit for bit, so a trial's randomness depends only on (seed, trial),
+never on batching or scheduling.
 
 A uniform u picks a cell from weights by inverse CDF: the cell is
 min(#{cdf <= u}, last), where cdf is the running sum of the weights and last
@@ -32,13 +32,13 @@ AUX_STREAM = _MASK64 - 1
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _LO32, _SH32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_CHUNK_BLOCKS = 1 << 14            # blocks per kernel pass: caps its temporaries
+_CHUNK_BLOCKS = 1 << 14            # blocks per kernel pass: caps its eight buffers
 # Windows of at least this many words are read row by row: re-keying one numpy
 # Philox costs about 1.1 us a row, while the kernel's cost grows with the window.
-# Medians on 2 cores, numpy 2.4, by row against by kernel: 4096 rows of 22 words
-# 11.9 against 5.8 ms; 2000 rows of 48 words 5.4 against 5.7, of 64 words 6.0
-# against 8.0, of 128 words 7.6 against 14.9; 1000 rows of 1001 words 9.8 against 58.1.
-_ROW_WORDS = 64
+# Medians on 2 cores, numpy 2.4, by row/by kernel (ms): 4096 rows of 22, 44 and 56
+# words 6.7/4.3, 7.5/6.7, 7.9/8.1; 2000 rows of 48, 64 and 128 words 3.8/3.9,
+# 3.8/5.1, 4.5/9.4; 1000 rows of 40 and 1001 words 1.8/1.7, 6.9/31.8.
+_ROW_WORDS = 48
 
 
 def stream(seed: int, substream: int = 0) -> np.random.Generator:
@@ -67,27 +67,38 @@ def draw(cols, last, rows, u):
     return np.minimum(cell, lim, out=cell)
 
 
-def _mulhilo(m: int, x: np.ndarray):
-    """(high, low) 64-bit words of the 128-bit product m * x, from 32-bit halves."""
+def _mulhi(m: int, x, hi, t0, t1, t2):
+    """hi, set in place to the high 64-bit word of the 128-bit product m * x,
+    from 32-bit halves; t0, t1 and t2 are scratch of x's shape."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _SH32
-    lh = x_lo * m_hi
-    cross = ((x_lo * m_lo) >> _SH32) + (lh & _LO32) + x_hi * m_lo   # < 2^64
-    return x_hi * m_hi + (lh >> _SH32) + (cross >> _SH32), x * np.uint64(m)
+    np.bitwise_and(x, _LO32, out=t0)                # x_lo
+    np.multiply(t0, m_hi, out=t1)                   # lh = x_lo m_hi
+    np.right_shift(np.multiply(t0, m_lo, out=t0), _SH32, out=t0)
+    np.right_shift(x, _SH32, out=t2)                # x_hi
+    np.multiply(t2, m_hi, out=hi)
+    t0 += np.multiply(t2, m_lo, out=t2)
+    t0 += np.bitwise_and(t1, _LO32, out=t2)         # the cross term, < 2^64
+    hi += np.right_shift(t1, _SH32, out=t1)
+    hi += np.right_shift(t0, _SH32, out=t0)
+    return hi
 
 
 def _philox_words(seed: int, keys: np.ndarray, first: np.ndarray, n_blocks: int) -> np.ndarray:
     """(len(keys), 4 n_blocks) words of blocks first[i], first[i] + 1, ... keyed
-    by (seed, keys[i])."""
-    c0 = first.astype(np.uint64)[:, None] + np.arange(1, n_blocks + 1, dtype=np.uint64)
-    c1 = c2 = c3 = np.zeros_like(c0)
-    k0, k1 = seed, keys[:, None]
-    for r in range(10):
-        if r:
-            k0, k1 = (k0 + _W0) & _MASK64, k1 + np.uint64(_W1)
-        hi0, lo0 = _mulhilo(_M0, c0)
-        hi1, lo1 = _mulhilo(_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    by (seed, keys[i]); the rounds run in place on eight preallocated buffers."""
+    buf = np.empty((8, keys.size, n_blocks), dtype=np.uint64)
+    buf[1:4] = 0
+    c0, c1, c2, c3, hi, *scratch = buf
+    np.add.outer(first.astype(np.uint64), np.arange(1, n_blocks + 1, dtype=np.uint64), out=c0)
+    for r in range(10):                             # key: (seed, keys) plus r Weyl increments
+        k0, k1 = np.uint64((seed + r * _W0) & _MASK64), keys[:, None] + np.uint64(r * _W1 & _MASK64)
+        c3 ^= _mulhi(_M0, c0, hi, *scratch)
+        c3 ^= k1
+        c1 ^= _mulhi(_M1, c2, hi, *scratch)
+        c1 ^= k0
+        c0 *= np.uint64(_M0)
+        c2 *= np.uint64(_M1)
+        c0, c1, c2, c3 = c1, c2, c3, c0             # (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
     return np.stack((c0, c1, c2, c3), axis=2).reshape(keys.size, 4 * n_blocks)
 
 

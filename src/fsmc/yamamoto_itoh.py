@@ -169,11 +169,12 @@ def build_scheme(ch, config: SchemeConfig, cap_result: CapacityResult | None = N
 # vectorized batch engine
 
 def _phase1_batch(scheme, w, s0, u):
-    """Data phase for a batch: returns (decoded, end_state, state_paths)."""
+    """Data phase for a batch: returns (decoded, end_state, state_paths); the
+    (b, n_hat) paths are stored use by use, so the walk writes contiguous rows."""
     b, n_hat = u.shape
     S, X = scheme._S, scheme._X
-    ss = np.empty((b, n_hat), dtype=np.int64)
-    obs = np.empty((b, n_hat), dtype=np.int64)      # flat (next state, output) cells
+    ss = np.empty((n_hat, b), dtype=np.int64).T
+    obs = np.empty((n_hat, b), dtype=np.int64).T    # flat (next state, output) cells
     s = s0.astype(np.int64)
     at = w * scheme.codebook[0].size                # flat index of each row's codeword
     cb = scheme.codebook.reshape(-1)
@@ -186,9 +187,16 @@ def _phase1_batch(scheme, w, s0, u):
 
 
 def _exact_scores(scheme, ss, obs, w, table=None):
-    """Per row, the in-order (cumsum) sum of table[s_t, cb[w, t, s_t], obs_t] (table: _logk)."""
-    x = scheme.codebook[w[:, None], np.arange(ss.shape[1]), ss]
-    return np.cumsum((scheme._logk if table is None else table)[ss, x, obs], axis=1)[:, -1]
+    """Per row, the in-order (cumsum) sum of table[s_t, cb[w, t, s_t], obs_t] (table:
+    _logk): the terms are gathered use by use, (n_hat, b), and added a use at a time."""
+    cb, ss, obs = scheme.codebook, ss.T, obs.T
+    x = cb.reshape(-1).take(w * cb[0].size + np.arange(ss.shape[0])[:, None] * scheme._S + ss)
+    terms = (scheme._logk if table is None else table).reshape(-1).take(
+        (ss * scheme._X + x) * (scheme._S * scheme._Y) + obs)
+    acc = terms[0].copy()
+    for row in terms[1:]:
+        acc += row
+    return acc
 
 
 def _screen_width(scheme, n_hat):
@@ -225,7 +233,7 @@ def _decode(scheme, ss, obs, hint):
     # * sum_t m_t of the exact sum (eps of float32; float64 sums are far
     # closer).  The winner's screen score is then at most twice that below a
     # running maximum: tol has a fourfold margin, and its + 1 covers float64.
-    size = np.abs(delta).max(axis=1).reshape(-1).take(ss * n_cells + obs).sum(axis=1)
+    size = np.abs(delta).max(axis=1).reshape(-1).take(ss.T * n_cells + obs.T).sum(axis=0)
     tol = 4.0 * (n_hat + 2) * float(np.finfo(np.float32).eps) * (size + 1.0)
     best = _exact_scores(scheme, ss, obs, hint, delta)
     # row s*SY + o holds delta[s, x, o] at column (s', x - 1), zero unless s' = s
@@ -240,7 +248,7 @@ def _decode(scheme, ss, obs, hint):
         e_t = e[:m].reshape(m, k).T
         for lo_t in range(0, b, t_blk):
             rows = slice(lo_t, lo_t + t_blk)
-            sc = per_use[ss[rows] * n_cells + obs[rows]].reshape(-1, k) @ e_t
+            sc = per_use.take(ss[rows] * n_cells + obs[rows], axis=0).reshape(-1, k) @ e_t
             top, floor, slack = sc.max(axis=1), best[rows], tol[rows]
             hot = np.flatnonzero(top >= floor - slack)   # hold candidates
             top = best[hot + lo_t] = np.maximum(floor[hot], top[hot])

@@ -49,6 +49,24 @@ def test_empty_ids_and_zero_count():
     assert frng.uniforms(0, np.arange(4), 3, 0).shape == (4, 0)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_callers_arrays_are_left_alone(dtype):
+    """The kernel runs its rounds in place on its own buffers: neither path of
+    uniforms, nor _philox_words, writes to the substreams or offsets given."""
+    ids = np.array([11, 0, 5, 3, 2, 40, 9], dtype=dtype)
+    offsets = np.array([0, 3, 22, 6, 1, 42, 7], dtype=dtype)
+    kept = ids.copy(), offsets.copy()
+    for count in (7, frng._ROW_WORDS):               # by the kernel, then row by row
+        first = frng.uniforms(3, ids, offsets, count)
+        assert np.array_equal(frng.uniforms(3, ids, offsets, count), first)
+        assert np.array_equal(ids, kept[0]) and np.array_equal(offsets, kept[1])
+    keys, blocks = ids.astype(np.uint64), offsets.astype(np.uint64)
+    words = frng._philox_words(3, keys, blocks, 4)
+    assert np.array_equal(frng._philox_words(3, keys, blocks, 4), words)
+    assert np.array_equal(keys, kept[0].astype(np.uint64))
+    assert np.array_equal(blocks, kept[1].astype(np.uint64))
+
+
 def test_rows_straddling_the_chunk_size(monkeypatch):
     """Splitting the substreams into passes changes no row."""
     ids = np.array([11, 0, 5, 3, 2, 40, 9], dtype=np.int64)

@@ -239,6 +239,58 @@ def test_phase1_batch_is_exact_ml_on_enumerated_observations():
         assert int(decoded[b]) == expect
 
 
+def test_phase1_paths_are_stored_use_by_use(monkeypatch):
+    """_phase1_batch hands the decoder, and returns, (b, n_hat) paths whose
+    uses are contiguous rows: the walk writes one use of every trial at once."""
+    scheme = fsmc.build_scheme(make_z(), SchemeConfig(rate=0.2, gamma=0.6, n=30, seed=3))
+    ss, obs, _ = _sampled_inputs(monkeypatch, scheme, 50, 3)
+    gen = frng.stream(3, 77)
+    w, s0 = gen.integers(scheme.config.message_count, size=50), np.zeros(50, dtype=np.int64)
+    paths = yi._phase1_batch(scheme, w, s0, gen.random((50, scheme.config.n_hat)))[2]
+    for a in (ss, obs, paths):
+        assert a.shape == (50, scheme.config.n_hat) and a.T.flags.c_contiguous
+
+
+def _loop_scores(scheme, ss, obs, w, table):
+    """_exact_scores in plain Python: per row, table terms added left to right
+    from the first (as cumsum does)."""
+    tab, cb, out = table.tolist(), scheme.codebook.tolist(), []
+    for states, cells, word in zip(ss.tolist(), obs.tolist(), w.tolist()):
+        terms = [tab[s][cb[word][t][s]][o] for t, (s, o) in enumerate(zip(states, cells))]
+        acc = terms[0]
+        for v in terms[1:]:
+            acc += v
+        out.append(acc)
+    return np.array(out, dtype=np.float64)
+
+
+@pytest.mark.parametrize("n_hat, n, gamma", [(1, 4, 0.25), (2, 5, 0.4), (48, 80, 0.6)])
+@pytest.mark.parametrize("ch", [make_z, lambda: sparse_channel(39)], ids=["z", "sparse-39"])
+def test_exact_scores_are_left_to_right_float_sums(ch, n_hat, n, gamma):
+    """Bit for bit the Python loop, on C-ordered paths and on paths stored use
+    by use, for empty and non-empty batches, with _logk (whose impossible
+    cells hold the -1e18 clamp) and with a table of clamps and values whose
+    sum depends on the order of the additions."""
+    ch = ch()
+    rate = min(0.5 * gamma * fsmc.capacity(ch).C, 2.5 / n)       # a few messages
+    cfg = SchemeConfig(rate=rate, gamma=gamma, n=n, seed=2)
+    scheme = fsmc.build_scheme(ch, cfg)
+    assert cfg.n_hat == n_hat and (scheme._logk == -1e18).any()
+    gen = np.random.default_rng(n_hat)
+    shape = scheme._logk.shape
+    scale = 10.0 ** gen.integers(-3, 4, size=shape)
+    table = np.where(gen.random(shape) < 0.2, -1e18, gen.normal(size=shape) * scale)
+    for b in (0, 1, 37):
+        ss = gen.integers(scheme._S, size=(b, n_hat))
+        obs = gen.integers(scheme._S * scheme._Y, size=(b, n_hat))
+        w = gen.integers(cfg.message_count, size=b)
+        for tab in (None, table):
+            want = _loop_scores(scheme, ss, obs, w, scheme._logk if tab is None else tab)
+            for s_, o_ in ((ss, obs), (np.ascontiguousarray(ss.T).T, np.ascontiguousarray(obs.T).T)):
+                got = yi._exact_scores(scheme, s_, o_, w, tab)
+                assert got.shape == (b,) and got.tobytes() == want.tobytes(), (b, tab is None)
+
+
 BLOCKS = (1, 2, 7, 256, None)                        # None: one block holds all
 
 
