@@ -69,10 +69,6 @@ class InputDist:
         return self.weights.shape[0]
 
 
-# Deterministic stationary policy: input index per state.
-DetPolicy = tuple
-
-
 @dataclass(frozen=True)
 class StationaryPolicy:
     """One input distribution per state."""
@@ -256,12 +252,9 @@ def q_kernel(ch: ChannelSpec, s: int, u: InputDist) -> np.ndarray:
 
 
 def _policy_matrix(ch: ChannelSpec, policy) -> np.ndarray:
-    if isinstance(policy, StationaryPolicy):
-        m = policy.matrix()
-    else:  # DetPolicy: a sequence of input indices
-        m = np.zeros((ch.n_states, ch.n_inputs))
-        for s, x in enumerate(policy):
-            m[s, int(x)] = 1.0
+    if not isinstance(policy, StationaryPolicy):
+        raise ChannelError("policy must be a StationaryPolicy")
+    m = policy.matrix()
     if m.shape != (ch.n_states, ch.n_inputs):
         raise ChannelError("policy shape does not match channel")
     return m

@@ -46,16 +46,6 @@ class ExtReal:
 
     __radd__ = __add__
 
-    def scaled(self, a: float) -> "ExtReal":
-        # a * self for a > 0; 0 * infinity is a caller bug, not a convention
-        if a < 0.0:
-            raise ChannelError("negative scaling of an extended real")
-        if self.is_inf:
-            if a == 0.0:
-                raise ChannelError("0 * infinity is undefined here")
-            return ExtReal.infinity()
-        return ExtReal(a * self.value)
-
     def __lt__(self, other):
         if self.is_inf:
             return False

@@ -59,15 +59,6 @@ class ControlGrid:
                 pts.append(d)
         return cls(tuple(pts))
 
-    @classmethod
-    def mesh(cls, n_inputs: int, resolution: int) -> "ControlGrid":
-        """Lattice of denominators `resolution`, corners first."""
-        import itertools
-        return cls.with_points(n_inputs, (
-            np.array(comb, dtype=np.float64) / resolution
-            for comb in itertools.product(range(resolution + 1), repeat=n_inputs)
-            if sum(comb) == resolution))
-
     def __len__(self):
         return len(self.points)
 
@@ -95,9 +86,6 @@ class OccupationMeasure:
             raise ChannelError(f"occupation mass {w.sum()!r} != 1")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-
-    def state_marginal(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -270,18 +258,6 @@ def decode_policy(measure: OccupationMeasure) -> StationaryPolicy:
 # ---------------------------------------------------------------------------
 # trajectory simulation and the concentration check
 
-def _as_policy_callable(policy, ch):
-    """Accept a StationaryPolicy or a callable (states, outputs) -> InputDist."""
-    if isinstance(policy, StationaryPolicy):
-        rows = [InputDist(w) for w in policy.matrix()]
-
-        def call(states, outputs):
-            return rows[states[-1]]
-
-        return call
-    return policy
-
-
 def _grid_lookup(grid: ControlGrid):
     """lookup(u, t) -> grid index of policy output u, by id once an object has
     been seen, else by its exact bytes.  An output off the grid raises, naming
@@ -310,33 +286,13 @@ def simulate_trajectory(ch, policy, grid: ControlGrid, n: int, seed: int,
     policy is a StationaryPolicy or a callable (states, outputs) -> InputDist,
     where states has one more entry than outputs (the current state is
     states[-1]).  Counts accumulate on S x grid; each control must be a grid
-    member byte-for-byte.  Step t's input and (next state, output) cell are
-    drawn up front for every grid point and every (state, input) pair, with
-    uniforms 2t + 1 and 2t + 2 of substream (seed, substream), so memory is
-    (K + S X) n cells; the walk then picks the drawn cells it visits.
+    member byte-for-byte.  These are the counts of _occupation_counts at the
+    one trial substream, an id taken mod 2^64.
     """
     if n < 1:
         raise ChannelError("horizon must be positive")
-    policy = _as_policy_callable(policy, ch)
-    S, X, Y, K = ch.n_states, ch.n_inputs, ch.n_outputs, len(grid)
-    u = _rng.stream(seed, substream).random(2 * n + 1)
-    states, outputs = [int(_rng.draw(*_rng.inverse_cdf(ch.initial_dist), 0, u[0]))], []
-    # inputs[k][t]: grid point k's input at step t; cells[s X + x][t]: the (s, x) cell
-    inputs = _rng.draw(*_rng.inverse_cdf(grid.matrix()),
-                       np.arange(K)[:, None], u[1::2]).tolist()
-    cells = _rng.draw(*_rng.inverse_cdf(ch.kernel.reshape(S * X, S * Y)),
-                      np.arange(S * X)[:, None], u[2::2]).tolist()
-    counts = [0] * (S * K)                   # visits to (s, k) at s * K + k
-    lookup = _grid_lookup(grid)
-    for t in range(n):
-        k = lookup(policy(states, outputs), t)
-        s = states[-1]
-        counts[s * K + k] += 1
-        flat = cells[s * X + inputs[k][t]][t]
-        states.append(flat // Y)
-        outputs.append(flat % Y)
-    counts = np.array(counts, dtype=np.int64).reshape(S, K)
-    return EmpiricalMeasure(grid, counts, n)
+    trial = np.array([substream & _rng._MASK64], dtype=np.uint64)
+    return EmpiricalMeasure(grid, _occupation_counts(ch, policy, grid, n, seed, trial)[0], n)
 
 
 def _stationary_grid_map(policy, grid: ControlGrid):
@@ -357,13 +313,16 @@ _BLOCK_WORDS = 1 << 18
 def _occupation_counts(ch, policy, grid: ControlGrid, n: int, seed: int,
                        trials: np.ndarray) -> np.ndarray:
     """(len(trials), S, K) visit counts of trials (substream ids of seed),
-    stepped together: each trial counts exactly what simulate_trajectory(ch,
-    policy, grid, n, seed, substream=trial) counts, from the same 2n + 1
-    uniforms and the same inverse-CDF rule.
+    stepped together.  A trial reads 2n + 1 uniforms of its substream, each
+    by the inverse-CDF rule of rng.draw: word 0 is the initial state, then at
+    step t word 2t + 1 the input, from the law of the control's grid point,
+    and word 2t + 2 the (next state, output) cell, from the kernel's
+    (state, input) row.  So a trial's counts depend only on (seed, trial),
+    not on the trials it is stepped with.
 
-    Word 0 draws the initial states; steps then run in windows of
-    max(1, _BLOCK_WORDS // (2 len(trials))), each reading its own uniforms by
-    counter, so at most max(_BLOCK_WORDS, 2 len(trials)) are held whatever n is.
+    Steps run in windows of max(1, _BLOCK_WORDS // (2 len(trials))), each
+    reading its own uniforms by counter, so at most
+    max(_BLOCK_WORDS, 2 len(trials)) are held whatever n is.
 
     A StationaryPolicy maps the states to grid rows with one take.  Any other
     policy is called once per trial a step, in trial order, with that trial's
@@ -411,13 +370,14 @@ def azuma_tail_check(ch, policy, grid: ControlGrid, n: int, eps: float,
 
     Counts trajectories with ||F(empirical)||_inf >= eps + 1/n and compares
     the frequency against 2|S| exp(-n eps^2 / 2) plus three binomial standard
-    errors.  Requires trials >= 100.  Trial k reads substream k of seed, as
-    simulate_trajectory(..., substream=k) does.  Trials run in blocks, each
-    stepped together (_occupation_counts); F is taken per block and only the
-    violation count kept.  A StationaryPolicy's blocks hold _BLOCK_WORDS // 128
-    trials, so memory is bounded and work linear in n.  Other policies keep
-    per-trial histories: blocks of max(1, 4 _BLOCK_WORDS // (2n + 1)), called
-    step-major, every trial's step t before any trial's step t + 1.
+    errors.  Requires trials >= 100.  Trial k reads substream k of seed: word 0
+    is its initial state, then words 2t + 1 and 2t + 2 at step t.  Trials run
+    in blocks, each stepped together (_occupation_counts); F is taken per
+    block and only the violation count kept.  A StationaryPolicy's blocks
+    hold _BLOCK_WORDS // 128 trials, so memory is bounded and work linear in
+    n.  Other policies keep per-trial histories: blocks of
+    max(1, 4 _BLOCK_WORDS // (2n + 1)), called step-major, every trial's step
+    t before any trial's step t + 1.
     """
     if n < 1:
         raise ChannelError("horizon must be positive")

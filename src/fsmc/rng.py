@@ -15,8 +15,9 @@ min(#{cdf <= u}, last), where cdf is the running sum of the weights and last
 the index of the last positive weight, so zero-mass cells stay unreachable
 even when the running sum ends below 1.  `inverse_cdf` builds tables of
 such rows cell-major; `draw` applies the rule to arrays by flat row index,
-and is the only place the rule is written: one-trial paths too draw every
-cell they might need with it, then walk the chain over the drawn cells.
+and is the only place the rule is written: the one-trial verify walker
+(yamamoto_itoh._phase2_one) too draws every cell it might need with it,
+then walks the chain over the drawn cells.
 """
 from __future__ import annotations
 

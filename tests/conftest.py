@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fsmc
+from fsmc import rng
 
 
 def make_bsc(p: float, initial=(1.0,)) -> fsmc.ChannelSpec:
@@ -109,6 +110,39 @@ def sparse_channel(seed):
     lab = lambda pre, m: tuple(f"{pre}{i}" for i in range(m))
     return fsmc.channel_from_arrays(lab("s", S), lab("x", X), lab("y", Y), k,
                                     np.full(S, 1.0 / S))
+
+
+def trajectory_oracle(ch, policy, grid, n, seed, substream=0) -> np.ndarray:
+    """(S, K) visit counts of one trajectory, walked step by step over lists:
+    the reference the lockstep occupation engine is compared against.
+
+    policy is a StationaryPolicy or a callable (states, outputs) -> InputDist;
+    each control is looked up on the grid by its exact bytes.  Step t's input
+    and (next state, output) cell are drawn up front for every grid point and
+    every (state, input) pair, with uniforms 2t + 1 and 2t + 2 of substream
+    (seed, substream); word 0 draws the initial state.
+    """
+    if isinstance(policy, fsmc.StationaryPolicy):
+        rows = [fsmc.InputDist(w) for w in policy.matrix()]
+        policy = lambda states, outputs: rows[states[-1]]
+    S, X, Y, K = ch.n_states, ch.n_inputs, ch.n_outputs, len(grid)
+    u = rng.stream(seed, substream).random(2 * n + 1)
+    states, outputs = [int(rng.draw(*rng.inverse_cdf(ch.initial_dist), 0, u[0]))], []
+    # inputs[k][t]: grid point k's input at step t; cells[s X + x][t]: the (s, x) cell
+    inputs = rng.draw(*rng.inverse_cdf(grid.matrix()), np.arange(K)[:, None], u[1::2]).tolist()
+    cells = rng.draw(*rng.inverse_cdf(ch.kernel.reshape(S * X, S * Y)),
+                     np.arange(S * X)[:, None], u[2::2]).tolist()
+    counts = [0] * (S * K)                   # visits to (s, k) at s * K + k
+    for t in range(n):
+        k = grid.index_of(policy(states, outputs))
+        if k is None:
+            raise fsmc.ChannelError(f"policy output at step {t} is not a grid point")
+        s = states[-1]
+        counts[s * K + k] += 1
+        flat = cells[s * X + inputs[k][t]][t]
+        states.append(flat // Y)
+        outputs.append(flat % Y)
+    return np.array(counts, dtype=np.int64).reshape(S, K)
 
 
 @pytest.fixture()

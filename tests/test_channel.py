@@ -177,3 +177,12 @@ def test_induced_matrix_row_stochastic(sym_example):
     q = fsmc.induced_matrix(sym_example, fsmc.StationaryPolicy.uniform(2, 2))
     assert q.shape == (2, 2)
     assert np.allclose(q.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_induced_matrix_takes_only_a_stationary_policy():
+    ch = fsmc.make_example(fsmc.gamma_params(0.5))
+    for bad in ((0,), (-1, 0), (0, 0, 1), [0, 1], np.array([0, 1])):
+        with pytest.raises(ChannelError, match="StationaryPolicy"):
+            fsmc.induced_matrix(ch, bad)
+    with pytest.raises(ChannelError, match="shape"):
+        fsmc.induced_matrix(ch, fsmc.StationaryPolicy.uniform(3, 2))

@@ -16,7 +16,7 @@ from fsmc import occupation
 from fsmc.occupation import (ControlGrid, EmpiricalMeasure, OccupationMeasure,
                              azuma_tail_check, decode_policy, f_functional,
                              lp_average_cost, simulate_trajectory)
-from conftest import make_bsc, make_random_channel, sparse_channel
+from conftest import make_bsc, make_random_channel, sparse_channel, trajectory_oracle
 
 # frozen (see test_oracles)
 BSC_D = 1.7577796618689758
@@ -45,14 +45,6 @@ def test_grid_nearest_first_tie():
     assert g.index_of(probe) == 2
     off = InputDist(np.array([0.25, 0.75]))
     assert g.index_of(off) is None
-
-
-def test_grid_mesh_contains_lattice():
-    g = ControlGrid.mesh(2, 4)
-    # corners first, then interior lattice points 1/4, 2/4, 3/4
-    assert len(g) == 5
-    mats = g.matrix()
-    assert np.allclose(mats.sum(axis=1), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +174,9 @@ def test_trajectory_rejects_off_grid_without_snap():
     def policy(states, outputs):
         return off
 
-    with pytest.raises(ChannelError):
-        simulate_trajectory(ch, policy, grid, 10, seed=0)
+    for pol in (policy, StationaryPolicy((off,))):
+        with pytest.raises(ChannelError):
+            simulate_trajectory(ch, pol, grid, 10, seed=0)
 
 
 def test_trajectory_history_dependent_policy():
@@ -217,6 +210,16 @@ def test_trajectory_fresh_policy_objects_match_fixed_ones():
     assert np.array_equal(simulate_trajectory(ch, fresh, grid, 500, seed=1).counts, want)
 
 
+@pytest.mark.parametrize("substream", [-1, 2 ** 64 - 5, 2 ** 64 + 3])
+def test_trajectory_substream_wraps_mod_2_64(substream):
+    ch = sparse_channel(21)
+    grid, policies = _policies(ch)
+    for kind, pol in policies.items():
+        want = trajectory_oracle(ch, pol, grid, 50, 7, substream % 2 ** 64)
+        assert np.array_equal(simulate_trajectory(ch, pol, grid, 50, 7, substream).counts,
+                              want), kind
+
+
 # ---------------------------------------------------------------------------
 # concentration check
 
@@ -230,9 +233,8 @@ def test_azuma_passes_on_stationary_policy():
 
 
 def _oracle_counts(ch, policy, grid, n, seed, trials):
-    """Stacked simulate_trajectory counts of the given substreams."""
-    return np.stack([simulate_trajectory(ch, policy, grid, n, seed, substream=k).counts
-                     for k in trials])
+    """Stacked trajectory_oracle counts of the given substreams."""
+    return np.stack([trajectory_oracle(ch, policy, grid, n, seed, substream=k) for k in trials])
 
 
 def _oracle_azuma(ch, policy, grid, n, eps, trials, seed):
@@ -372,16 +374,17 @@ def test_engine_counts_match_trajectories_on_sparse_channels(seed):
 @pytest.mark.parametrize("seed", SPARSE_SEEDS[:6])
 def test_engine_windows_split_unevenly_match_the_oracle(monkeypatch, seed):
     """Windows of 1 and 7 steps at n = 40 (of 7, the last is 5 steps) count what
-    the stacked trajectories count, for stationary and history policies."""
+    the stacked trajectories count, for stationary and history policies, on 23
+    trials and on one."""
     ch = sparse_channel(seed)
     grid, policies = _policies(ch)
-    trials = np.arange(5, 28)
-    for kind, pol in policies.items():
-        want = _oracle_counts(ch, pol, grid, 40, seed, trials.tolist())
-        for window in (1, 7):
-            monkeypatch.setattr(occupation, "_BLOCK_WORDS", 2 * window * len(trials))
-            got = occupation._occupation_counts(ch, pol, grid, 40, seed, trials)
-            assert np.array_equal(got, want), (kind, window)
+    for trials in (np.arange(5, 28), np.array([17])):
+        for kind, pol in policies.items():
+            want = _oracle_counts(ch, pol, grid, 40, seed, trials.tolist())
+            for window in (1, 7):
+                monkeypatch.setattr(occupation, "_BLOCK_WORDS", 2 * window * len(trials))
+                got = occupation._occupation_counts(ch, pol, grid, 40, seed, trials)
+                assert np.array_equal(got, want), (kind, window, len(trials))
 
 
 def _block_words(pol, per_block, n):
@@ -456,7 +459,7 @@ def _recorder():
 
 def test_engine_calls_a_history_policy_with_each_trials_own_history():
     """Per trial the policy sees the same (states, outputs) sequence as under
-    simulate_trajectory, and the engine calls it step-major, trials in order."""
+    trajectory_oracle, and the engine calls it step-major, trials in order."""
     ch = sparse_channel(21)
     grid, _ = _policies(ch)
     trials = np.arange(12)
@@ -541,7 +544,7 @@ def test_azuma_work_and_memory_do_not_grow_with_the_horizon(monkeypatch):
 # the sparse_channel seeds in 0-39 that pass Assumption 1
 A1_SEEDS = (1, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 17, 18, 20, 21, 22, 23, 24,
             27, 28, 29, 30, 31, 32, 33, 34, 35, 37, 38, 39)
-# SHA-256 of the little-endian int64 counts of simulate_trajectory(n = 300) on
+# SHA-256 of the little-endian int64 counts of one trajectory (n = 300) on
 # A1_SEEDS, substreams 0, 3 and 2^64 - 5 in turn
 TRAJECTORY_PINS = {
     "deterministic": "4830268d4c11a756e53d926e5a003b9fc203f421e3f39a3c43181a66967494e4",
@@ -557,16 +560,23 @@ AZUMA_PIN = "383fd69b2a92ecc7c2f44d29f8a346b6477f423cc715caa07d94ba56fdb7c511"
 
 @pytest.mark.parametrize("kind", sorted(TRAJECTORY_PINS))
 def test_trajectory_counts_frozen_pin(kind):
+    """The pins hold for the list walker and for the lockstep engine, which
+    steps the three substreams of a seed together."""
     assert len(A1_SEEDS) == 32 and all(fsmc.check_assumption1(sparse_channel(s))[0]
                                        for s in A1_SEEDS)
-    digest = hashlib.sha256()
+    subs = (0, 3, 2 ** 64 - 5)
+    oracle, engine = hashlib.sha256(), hashlib.sha256()
     for seed in A1_SEEDS:
         ch = sparse_channel(seed)
         grid, policies = _policies(ch)
-        for sub in (0, 3, 2 ** 64 - 5):
-            m = simulate_trajectory(ch, policies[kind], grid, 300, seed, substream=sub)
-            digest.update(m.counts.astype("<i8").tobytes())
-    assert digest.hexdigest() == TRAJECTORY_PINS[kind]
+        for sub in subs:
+            counts = trajectory_oracle(ch, policies[kind], grid, 300, seed, substream=sub)
+            oracle.update(counts.astype("<i8").tobytes())
+        counts = occupation._occupation_counts(ch, policies[kind], grid, 300, seed,
+                                               np.array(subs, dtype=np.uint64))
+        engine.update(counts.astype("<i8").tobytes())
+    assert oracle.hexdigest() == TRAJECTORY_PINS[kind]
+    assert engine.hexdigest() == TRAJECTORY_PINS[kind]
 
 
 def test_azuma_history_policy_frozen_pin():
